@@ -97,11 +97,10 @@ int main(int argc, char** argv) {
               "best-effort queuing x%.1f, latency x%.1f\n",
               rt_q_ratio, rt4.latency_us.mean() / rt0.latency_us.mean(),
               be_q_ratio, be4.latency_us.mean() / be0.latency_us.mean());
+  const bool reproduced = rt_q_ratio > 3 && be_q_ratio > 3 &&
+                          be4.queuing_us.mean() > rt4.queuing_us.mean();
   std::printf("Paper shape: queuing grows by an order of magnitude, latency "
               "marginally; best-effort hit harder than realtime: %s\n",
-              (rt_q_ratio > 3 && be_q_ratio > 3 &&
-               be4.queuing_us.mean() > rt4.queuing_us.mean())
-                  ? "REPRODUCED"
-                  : "NOT REPRODUCED");
-  return 0;
+              reproduced ? "REPRODUCED" : "NOT REPRODUCED");
+  return reproduced ? 0 : 1;
 }

@@ -85,5 +85,5 @@ int main() {
                           sif_total < 1.25 * if_total;
   std::printf("Paper shape: every filter beats No Filtering; SIF ~ IF: %s\n",
               reproduced ? "REPRODUCED" : "NOT REPRODUCED");
-  return 0;
+  return reproduced ? 0 : 1;
 }

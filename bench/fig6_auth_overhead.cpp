@@ -82,5 +82,5 @@ int main() {
   std::printf("Paper shape: authentication + QP-level key management costs "
               "only a small constant: %s\n",
               reproduced ? "REPRODUCED" : "NOT REPRODUCED");
-  return 0;
+  return reproduced ? 0 : 1;
 }

@@ -102,5 +102,5 @@ int main() {
       results[1].switch_filter_lookups > results[2].switch_filter_lookups;
   std::printf("\nPaper shape: DPT memory >> IF; lookup counts DPT > IF > SIF: %s\n",
               reproduced ? "REPRODUCED" : "NOT REPRODUCED");
-  return 0;
+  return reproduced ? 0 : 1;
 }

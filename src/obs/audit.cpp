@@ -1,17 +1,8 @@
 #include "obs/audit.h"
 
-#include <cstdio>
+#include "obs/format.h"
 
 namespace ibsec::obs {
-namespace {
-
-void append_int(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  out += buf;
-}
-
-}  // namespace
 
 void AuditLog::configure(const AuditConfig& config) {
   config_ = config;
@@ -52,33 +43,24 @@ std::vector<AuditEvent> AuditLog::events() const {
 }
 
 std::string AuditLog::to_jsonl() const {
-  std::string out;
-  for (const AuditEvent& ev : events()) {
-    out += "{\"t\":";
-    append_int(out, ev.at);
-    out += ",\"type\":\"";
-    out += ev.type;
-    out += "\",\"verdict\":\"";
-    out += ev.verdict;
-    out += "\",\"node\":";
-    append_int(out, ev.node);
-    out += ",\"actor_lid\":";
-    append_int(out, ev.actor_lid);
-    out += ",\"actor_qp\":";
-    append_int(out, ev.actor_qp);
-    out += ",\"victim_lid\":";
-    append_int(out, ev.victim_lid);
-    out += ",\"victim_qp\":";
-    append_int(out, ev.victim_qp);
-    out += ",\"port\":";
-    append_int(out, ev.port);
-    out += ",\"trace_id\":";
-    append_int(out, static_cast<std::int64_t>(ev.trace_id));
-    out += ",\"a0\":";
-    append_int(out, ev.a0);
-    out += "}\n";
+  TextBuilder out;
+  for (std::size_t i = 0; i < events_.size(); ++i) {
+    // In place, oldest first: ring_head_ is the oldest once wrapped.
+    const AuditEvent& ev = events_[(ring_head_ + i) % events_.size()];
+    out.text("{\"t\":").integer(ev.at);
+    out.text(",\"type\":\"").text(ev.type);
+    out.text("\",\"verdict\":\"").text(ev.verdict);
+    out.text("\",\"node\":").integer(ev.node);
+    out.text(",\"actor_lid\":").integer(ev.actor_lid);
+    out.text(",\"actor_qp\":").integer(ev.actor_qp);
+    out.text(",\"victim_lid\":").integer(ev.victim_lid);
+    out.text(",\"victim_qp\":").integer(ev.victim_qp);
+    out.text(",\"port\":").integer(ev.port);
+    out.text(",\"trace_id\":").integer(static_cast<std::int64_t>(ev.trace_id));
+    out.text(",\"a0\":").integer(ev.a0);
+    out.text("}\n");
   }
-  return out;
+  return out.take();
 }
 
 }  // namespace ibsec::obs

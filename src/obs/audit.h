@@ -114,7 +114,7 @@ class AuditLog {
 
   /// JSONL export: one `{"t":...,"type":"...","verdict":"...",...}` object
   /// per line in record order. Byte-deterministic — all numbers format
-  /// through integer snprintf, all strings are emission-site literals that
+  /// through obs/format.h, all strings are emission-site literals that
   /// need no escaping. Schema documented in docs/audit_schema.md.
   std::string to_jsonl() const;
 

@@ -1,8 +1,8 @@
 #include "obs/registry.h"
 
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
+
+#include "obs/format.h"
 
 namespace ibsec::obs {
 
@@ -53,34 +53,26 @@ std::size_t Snapshot::count_matching(std::string_view pattern) const {
 }
 
 std::string Snapshot::to_json() const {
-  std::string out = "{";
+  TextBuilder out;
+  out.text('{');
   bool first = true;
-  char buf[32];
   for (const auto& [name, value] : values) {
-    if (!first) out += ",";
+    if (!first) out.text(',');
     first = false;
-    out += "\n  \"";
-    out += name;  // metric names never contain quotes or backslashes
-    out += "\": ";
-    std::snprintf(buf, sizeof buf, "%" PRId64, value);
-    out += buf;
+    // Metric names never contain quotes or backslashes.
+    out.text("\n  \"").text(name).text("\": ").integer(value);
   }
-  out += first ? "}" : "\n}";
-  out += "\n";
-  return out;
+  out.text(first ? "}" : "\n}").text('\n');
+  return out.take();
 }
 
 std::string Snapshot::to_csv() const {
-  std::string out = "name,value\n";
-  char buf[32];
+  TextBuilder out;
+  out.text("name,value\n");
   for (const auto& [name, value] : values) {
-    out += name;
-    out += ",";
-    std::snprintf(buf, sizeof buf, "%" PRId64, value);
-    out += buf;
-    out += "\n";
+    out.text(name).text(',').integer(value).text('\n');
   }
-  return out;
+  return out.take();
 }
 
 std::optional<Snapshot> Snapshot::from_json(std::string_view json) {
@@ -138,6 +130,9 @@ Registry::Metric* Registry::resolve(const std::string& name, Kind kind) {
   auto it = metrics_.find(name);
   if (it == metrics_.end()) {
     it = metrics_.emplace(name, std::make_unique<Metric>(kind)).first;
+    (last_created_ != nullptr ? last_created_->next : first_created_) =
+        &*it;
+    last_created_ = it->second.get();
   } else if (it->second->kind != kind) {
     ++kind_collisions_;
     return nullptr;
@@ -170,44 +165,101 @@ Histogram& Registry::histogram(const std::string& name, double upper,
   return *m->hist;
 }
 
+namespace {
+
+// Histogram statistics export as fixed-point x1000 integers.
+std::int64_t x1000(double v) { return std::llround(v * 1000.0); }
+
+}  // namespace
+
+template <class Fn>
+void Registry::for_each_column(const Entry& entry, Fn&& fn) {
+  const std::string& metric_name = entry.first;
+  const Metric& metric = *entry.second;
+  using Read = std::int64_t (*)(const Metric&);
+  const auto add = [&](const char* suffix, Read read) {
+    std::string name;  // sized once: a single allocation, as name + suffix
+    name.reserve(metric_name.size() + std::char_traits<char>::length(suffix));
+    name.append(metric_name).append(suffix);
+    fn(Column{std::move(name), metric_name, &metric, read});
+  };
+  switch (metric.kind) {
+    case Kind::kCounter:
+      add("", [](const Metric& m) {
+        return static_cast<std::int64_t>(m.counter.value());
+      });
+      break;
+    case Kind::kGauge:
+      add("", [](const Metric& m) { return m.gauge.value(); });
+      add(".hwm", [](const Metric& m) { return m.gauge.high_water(); });
+      break;
+    case Kind::kTime:
+      add(".total_ps", [](const Metric& m) { return m.time.total(); });
+      add(".count", [](const Metric& m) {
+        return static_cast<std::int64_t>(m.time.count());
+      });
+      break;
+    case Kind::kHistogram:
+      add(".count", [](const Metric& m) {
+        return static_cast<std::int64_t>(m.hist->total());
+      });
+      add(".overflow", [](const Metric& m) {
+        return static_cast<std::int64_t>(m.hist->overflow());
+      });
+      add(".p50_x1000",
+          [](const Metric& m) { return x1000(m.hist->p50()); });
+      add(".p99_x1000",
+          [](const Metric& m) { return x1000(m.hist->p99()); });
+      add(".p999_x1000",
+          [](const Metric& m) { return x1000(m.hist->p999()); });
+      // Exact sample extremes: the tail anchors interpolated percentiles
+      // can't provide (forensics reads the worst single observation).
+      add(".min_x1000",
+          [](const Metric& m) { return x1000(m.hist->min()); });
+      add(".max_x1000",
+          [](const Metric& m) { return x1000(m.hist->max()); });
+      break;
+  }
+}
+
+Registry::Column Registry::kind_collisions_column() {
+  return {"obs.kind_collisions", {}, nullptr, nullptr};
+}
+
+void Registry::new_columns(ColumnCursor& cursor,
+                           std::vector<Column>& out) const {
+  const Entry* e =
+      cursor.last != nullptr ? cursor.last->second->next : first_created_;
+  for (; e != nullptr; e = e->second->next) {
+    for_each_column(*e, [&](Column&& column) {
+      out.push_back(std::move(column));
+    });
+    cursor.last = e;
+  }
+  if (!cursor.collisions && kind_collisions_ > 0) {
+    cursor.collisions = true;
+    out.push_back(kind_collisions_column());
+  }
+}
+
+std::int64_t Registry::value(const Column& column) const {
+  return column.metric != nullptr
+             ? column.read(*column.metric)
+             : static_cast<std::int64_t>(kind_collisions_);
+}
+
 Snapshot Registry::snapshot() const {
+  // Name order, then obs.kind_collisions last: where two metrics export the
+  // same key (a counter "x.count" beside a time accumulator "x"), the later
+  // assignment wins. TimeSeriesSampler::to_csv resolves such keys the same
+  // way.
   Snapshot snap;
-  for (const auto& [name, metric] : metrics_) {
-    switch (metric->kind) {
-      case Kind::kCounter:
-        snap.values[name] =
-            static_cast<std::int64_t>(metric->counter.value());
-        break;
-      case Kind::kGauge:
-        snap.values[name] = metric->gauge.value();
-        snap.values[name + ".hwm"] = metric->gauge.high_water();
-        break;
-      case Kind::kTime:
-        snap.values[name + ".total_ps"] = metric->time.total();
-        snap.values[name + ".count"] =
-            static_cast<std::int64_t>(metric->time.count());
-        break;
-      case Kind::kHistogram: {
-        const Histogram& h = *metric->hist;
-        snap.values[name + ".count"] =
-            static_cast<std::int64_t>(h.total());
-        snap.values[name + ".overflow"] =
-            static_cast<std::int64_t>(h.overflow());
-        snap.values[name + ".p50_x1000"] = std::llround(h.p50() * 1000.0);
-        snap.values[name + ".p99_x1000"] = std::llround(h.p99() * 1000.0);
-        snap.values[name + ".p999_x1000"] = std::llround(h.p999() * 1000.0);
-        // Exact sample extremes: the tail anchors interpolated percentiles
-        // can't provide (forensics reads the worst single observation).
-        snap.values[name + ".min_x1000"] = std::llround(h.min() * 1000.0);
-        snap.values[name + ".max_x1000"] = std::llround(h.max() * 1000.0);
-        break;
-      }
-    }
-  }
-  if (kind_collisions_ > 0) {
-    snap.values["obs.kind_collisions"] =
-        static_cast<std::int64_t>(kind_collisions_);
-  }
+  const auto put = [&](Column&& column) {
+    const std::int64_t v = value(column);
+    snap.values[std::move(column.name)] = v;
+  };
+  for (const Entry& entry : metrics_) for_each_column(entry, put);
+  if (kind_collisions_ > 0) put(kind_collisions_column());
   return snap;
 }
 

@@ -12,7 +12,11 @@
 // Snapshots are flat, name-sorted, integer-valued maps: byte-identical
 // JSON/CSV for identical (topology, seed) runs regardless of wall clock,
 // worker count, or sweep ordering — the property the determinism
-// regression tests pin down.
+// regression tests pin down. How a metric flattens into exported integers
+// (the suffix table on Snapshot) lives in one place, Registry::Column,
+// which snapshot() and TimeSeriesSampler both read through. The registry
+// also keeps its metrics in an append-only creation order, so a sampler
+// can pick up just the metrics born since its last tick.
 //
 // Disabling a registry (set_enabled(false) *before* components are built)
 // hands out handles to private sink metrics: recording degenerates to one
@@ -33,6 +37,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/stats.h"
 #include "common/time.h"
@@ -146,7 +152,37 @@ class Registry {
 
  private:
   enum class Kind : std::uint8_t { kCounter, kGauge, kTime, kHistogram };
+  struct Metric;
+  /// A metrics_ entry: a name and the metric it owns.
+  using Entry = std::pair<const std::string, std::unique_ptr<Metric>>;
 
+ public:
+  /// One exported integer: the Snapshot key it appears under and how to
+  /// read it. Valid for the registry's lifetime — metrics never move or die
+  /// once created.
+  struct Column {
+    std::string name;               ///< exported name, suffix included
+    std::string_view metric_name;   ///< source metric ("" for collisions)
+    const Metric* metric = nullptr; ///< nullptr for obs.kind_collisions
+    std::int64_t (*read)(const Metric&) = nullptr;
+  };
+
+  /// Where a reader of new_columns() has got to.
+  struct ColumnCursor {
+    const Entry* last = nullptr;  ///< newest metric seen
+    bool collisions = false;      ///< obs.kind_collisions seen
+  };
+
+  /// Appends the columns born since `cursor` and advances it: those of
+  /// every metric created after it, in creation order, then
+  /// obs.kind_collisions once the first kind collision has happened. Each
+  /// metric's columns follow the Snapshot suffix order.
+  void new_columns(ColumnCursor& cursor, std::vector<Column>& out) const;
+
+  /// The column's current value, as snapshot() would export it.
+  std::int64_t value(const Column& column) const;
+
+ private:
   struct Metric {
     explicit Metric(Kind k) : kind(k) {}
     Kind kind;
@@ -154,13 +190,23 @@ class Registry {
     Gauge gauge;
     TimeAccumulator time;
     std::unique_ptr<Histogram> hist;
+    const Entry* next = nullptr;  ///< the next metric created
   };
 
   /// nullptr when the name exists with a different kind (or disabled).
   Metric* resolve(const std::string& name, Kind kind);
+  /// Calls fn(Column&&) for each of the entry's exported columns, in
+  /// suffix order — the one copy of the suffix table.
+  template <class Fn>
+  static void for_each_column(const Entry& entry, Fn&& fn);
+  static Column kind_collisions_column();
 
   bool enabled_ = true;
   std::map<std::string, std::unique_ptr<Metric>> metrics_;
+  // Creation order, threaded through the metrics themselves: append-only,
+  // and no allocation beyond the metric's own.
+  const Entry* first_created_ = nullptr;
+  Metric* last_created_ = nullptr;
   std::uint64_t kind_collisions_ = 0;
 
   // Sinks absorb records from disabled registries and kind collisions;

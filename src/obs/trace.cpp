@@ -1,11 +1,12 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <array>
 #include <iostream>
-#include <map>
+#include <numeric>
 
 #include "common/check.h"
+#include "obs/format.h"
 
 namespace ibsec::obs {
 namespace {
@@ -19,25 +20,63 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-void append_int(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  out += buf;
+// (key, record index) pairs: the exports order the stored events through
+// these, never by moving the events themselves.
+using RecordKeys = std::vector<std::pair<std::uint64_t, std::uint32_t>>;
+
+// Record keys for `events`, in record order.
+template <class KeyOf>
+RecordKeys record_keys(const EventView& events, KeyOf key_of) {
+  IBSEC_CHECK(events.size() <= UINT32_MAX) << "trace too large to index";
+  RecordKeys keys(events.size());
+  for (std::uint32_t i = 0; i < keys.size(); ++i) {
+    keys[i] = {key_of(events[i]), i};
+  }
+  return keys;
+}
+
+// Sorts record-order keys by key, keeping record order among equal keys.
+// A stable LSD radix sort over the keys' spread, 11 bits a pass: a few
+// linear passes (two for the trace ids of a wrapped ring) instead of a
+// comparison sort's O(n log n) branchy compares. Memory is O(events)
+// whatever the key range.
+void sort_by_key(RecordKeys& keys) {
+  constexpr unsigned kBits = 11;
+  constexpr std::uint64_t kMask = (1u << kBits) - 1;
+  if (keys.size() < 2) return;
+  const auto [lo, hi] = std::minmax_element(
+      keys.begin(), keys.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  const std::uint64_t base = lo->first;
+  const std::uint64_t spread = hi->first - base;
+  RecordKeys scratch(keys.size());
+  for (unsigned shift = 0; shift < 64 && (spread >> shift) != 0;
+       shift += kBits) {
+    std::array<std::uint32_t, kMask + 2> next{};  // bucket starts
+    for (const auto& k : keys) ++next[((k.first - base) >> shift & kMask) + 1];
+    std::partial_sum(next.begin(), next.end(), next.begin());
+    for (const auto& k : keys) {
+      scratch[next[(k.first - base) >> shift & kMask]++] = k;
+    }
+    keys.swap(scratch);
+  }
 }
 
 // Formats picoseconds as decimal microseconds ("12.345678") from integer
 // arithmetic only — double formatting is locale/libm-dependent and would
 // break byte-determinism.
-void append_us(std::string& out, SimTime ps) {
+void put_us(TextBuilder& out, SimTime ps) {
   if (ps < 0) {
-    out += '-';
+    out.text('-');
     ps = -ps;
   }
-  append_int(out, ps / 1'000'000);
-  char frac[12];
-  std::snprintf(frac, sizeof(frac), ".%06lld",
-                static_cast<long long>(ps % 1'000'000));
-  out += frac;
+  out.integer(ps / 1'000'000);
+  char frac[7] = {'.'};
+  std::int64_t rest = ps % 1'000'000;
+  for (int i = 6; i > 0; --i, rest /= 10) {
+    frac[i] = static_cast<char>('0' + rest % 10);
+  }
+  out.text(std::string_view(frac, sizeof frac));
 }
 
 }  // namespace
@@ -161,65 +200,69 @@ void TraceRecorder::record(TraceEvent&& event) {
   ++evicted_;
 }
 
+EventView TraceRecorder::view() const {
+  // ring_head_ is the oldest element once the ring has wrapped (0 before).
+  const std::span<const TraceEvent> all(events_);
+  return {all.subspan(ring_head_), all.first(ring_head_)};
+}
+
 std::vector<TraceEvent> TraceRecorder::events() const {
+  const EventView stored = view();
   std::vector<TraceEvent> out;
-  out.reserve(events_.size());
-  // ring_head_ is the oldest element once the ring has wrapped.
-  for (std::size_t i = 0; i < events_.size(); ++i) {
-    out.push_back(events_[(ring_head_ + i) % events_.size()]);
-  }
+  out.reserve(stored.size());
+  for (std::size_t i = 0; i < stored.size(); ++i) out.push_back(stored[i]);
   return out;
 }
 
 std::string TraceRecorder::to_chrome_json() const {
-  std::vector<TraceEvent> sorted = events();
-  // Chrome's viewer expects ts-ordered input; stable sort keeps record
-  // order for equal timestamps so the output is byte-deterministic.
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.start < b.start;
-                   });
-  std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
+  const EventView stored = view();
+  // Chrome's viewer expects ts-ordered input; record order breaks ties so
+  // the output is byte-deterministic. Sort (start, record index) keys into
+  // a permutation, never the events themselves.
+  RecordKeys order = record_keys(stored, [](const TraceEvent& ev) {
+    // Flipping the sign bit maps int64 order onto uint64 order.
+    return static_cast<std::uint64_t>(ev.start) ^ (std::uint64_t{1} << 63);
+  });
+  sort_by_key(order);
+
+  TextBuilder out;
+  // About 150 bytes per event; pages past the real size stay untouched.
+  out.reserve(stored.size() * 192 + 64);
+  out.text("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
   bool first = true;
-  for (const TraceEvent& ev : sorted) {
-    if (!first) out += ',';
+  for (const auto& [key, i] : order) {
+    const TraceEvent& ev = stored[i];
+    if (!first) out.text(',');
     first = false;
-    out += "{\"name\":\"";
-    out += to_string(ev.type);
-    out += "\",\"cat\":\"";
-    out += category_of(ev.type);
+    out.text("{\"name\":\"").text(to_string(ev.type));
+    out.text("\",\"cat\":\"").text(category_of(ev.type));
     if (ev.duration > 0) {
-      out += "\",\"ph\":\"X\",\"ts\":";
-      append_us(out, ev.start);
-      out += ",\"dur\":";
-      append_us(out, ev.duration);
+      out.text("\",\"ph\":\"X\",\"ts\":");
+      put_us(out, ev.start);
+      out.text(",\"dur\":");
+      put_us(out, ev.duration);
     } else {
-      out += "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":";
-      append_us(out, ev.start);
+      out.text("\",\"ph\":\"i\",\"s\":\"t\",\"ts\":");
+      put_us(out, ev.start);
     }
-    out += ",\"pid\":0,\"tid\":";
-    append_int(out, static_cast<std::int64_t>(ev.packet_id));
-    out += ",\"args\":{\"node\":";
-    append_int(out, ev.node);
-    out += ",\"a0\":";
-    append_int(out, ev.a0);
-    out += ",\"a1\":";
-    append_int(out, ev.a1);
+    out.text(",\"pid\":0,\"tid\":")
+        .integer(static_cast<std::int64_t>(ev.packet_id));
+    out.text(",\"args\":{\"node\":").integer(ev.node);
+    out.text(",\"a0\":").integer(ev.a0);
+    out.text(",\"a1\":").integer(ev.a1);
     if (!ev.detail.empty()) {
       // Details are component-chosen literals (port names, drop causes);
       // none contain characters needing JSON escapes.
-      out += ",\"detail\":\"";
-      out += ev.detail;
-      out += '"';
+      out.text(",\"detail\":\"").text(ev.detail).text('"');
     }
-    out += "}}";
+    out.text("}}");
   }
-  out += "]}\n";
-  return out;
+  out.text("]}\n");
+  return out.take();
 }
 
 void TraceRecorder::dump(std::ostream& out, std::size_t last_n) const {
-  const std::vector<TraceEvent> all = events();
+  const EventView all = view();
   const std::size_t begin = all.size() > last_n ? all.size() - last_n : 0;
   out << "[trace] flight recorder tail: " << (all.size() - begin) << " of "
       << all.size() << " stored events (" << recorded_ << " recorded, "
@@ -250,123 +293,104 @@ void TraceRecorder::install_check_dump(bool install) {
   dump_installed_ = install;
 }
 
-namespace {
-
-// Working state while folding one packet's events into a breakdown.
-struct Lifecycle {
-  PacketBreakdown b;
-  SimTime first_inject = -1;
-  std::vector<SimTime> injects;
-  bool created = false;
-  bool delivered = false;
-};
-
-}  // namespace
-
-std::vector<PacketBreakdown> compute_breakdown(
-    const std::vector<TraceEvent>& events) {
-  std::map<std::uint64_t, Lifecycle> packets;
-  for (const TraceEvent& ev : events) {
-    Lifecycle& lc = packets[ev.packet_id];
-    lc.b.packet_id = ev.packet_id;
-    switch (ev.type) {
-      case TraceEventType::kCreate:
-        lc.created = true;
-        lc.b.created_ps = ev.start;
-        lc.b.src_node = ev.node;
-        lc.b.dst_node = static_cast<int>(ev.a0);
-        lc.b.traffic_class = static_cast<int>(ev.a1);
-        break;
-      case TraceEventType::kInject:
-        if (lc.first_inject < 0 || ev.start < lc.first_inject) {
-          lc.first_inject = ev.start;
-        }
-        lc.injects.push_back(ev.start);
-        break;
-      case TraceEventType::kDeliver:
-        lc.delivered = true;
-        lc.b.delivered_ps = ev.start;
-        break;
-      case TraceEventType::kMacSign:
-        // Only the first sign's modeled pipeline time elapsed before
-        // injection; retransmit re-signs are accounted to `retransmit`.
-        if (lc.b.crypto_ps == 0) lc.b.crypto_ps = ev.duration;
-        break;
-      case TraceEventType::kSerialize:
-        lc.b.serialize_ps += ev.duration;
-        ++lc.b.hops;
-        break;
-      case TraceEventType::kSwitch:
-        lc.b.switch_ps += ev.duration;
-        break;
-      case TraceEventType::kRcRetransmit:
-        ++lc.b.retransmits;
-        break;
-      default:
-        break;
-    }
-  }
+std::vector<PacketBreakdown> compute_breakdown(EventView events) {
+  // Group each packet's events by sorting (trace id, record index) pairs:
+  // O(events) memory however sparse the ids, and record order within a
+  // packet, which the fold below depends on.
+  RecordKeys keys = record_keys(
+      events, [](const TraceEvent& ev) { return ev.packet_id; });
+  sort_by_key(keys);
 
   std::vector<PacketBreakdown> out;
-  out.reserve(packets.size());
-  for (auto& [id, lc] : packets) {
-    if (id == 0 || !lc.created || !lc.delivered || lc.first_inject < 0) {
+  for (std::size_t begin = 0, end = 0; begin < keys.size(); begin = end) {
+    const std::uint64_t id = keys[begin].first;
+    end = begin;
+    while (end < keys.size() && keys[end].first == id) ++end;
+
+    PacketBreakdown b;
+    b.packet_id = id;
+    SimTime first_inject = -1;
+    bool created = false;
+    bool delivered = false;
+    for (std::size_t k = begin; k < end; ++k) {
+      const TraceEvent& ev = events[keys[k].second];
+      switch (ev.type) {
+        case TraceEventType::kCreate:
+          created = true;
+          b.created_ps = ev.start;
+          b.src_node = ev.node;
+          b.dst_node = static_cast<int>(ev.a0);
+          b.traffic_class = static_cast<int>(ev.a1);
+          break;
+        case TraceEventType::kInject:
+          if (first_inject < 0 || ev.start < first_inject) {
+            first_inject = ev.start;
+          }
+          break;
+        case TraceEventType::kDeliver:
+          delivered = true;
+          b.delivered_ps = ev.start;
+          break;
+        case TraceEventType::kMacSign:
+          // Only the first sign's modeled pipeline time elapsed before
+          // injection; retransmit re-signs are accounted to `retransmit`.
+          if (b.crypto_ps == 0) b.crypto_ps = ev.duration;
+          break;
+        case TraceEventType::kSerialize:
+          b.serialize_ps += ev.duration;
+          ++b.hops;
+          break;
+        case TraceEventType::kSwitch:
+          b.switch_ps += ev.duration;
+          break;
+        case TraceEventType::kRcRetransmit:
+          ++b.retransmits;
+          break;
+        default:
+          break;
+      }
+    }
+    if (id == 0 || !created || !delivered || first_inject < 0) {
       continue;  // incomplete lifecycle (dropped, in flight, or evicted)
     }
-    PacketBreakdown& b = lc.b;
     // The last injection at or before delivery: a retransmit racing past an
     // in-flight delivery must not push `wire` negative.
-    SimTime last_inject = lc.first_inject;
-    for (SimTime t : lc.injects) {
-      if (t > last_inject && t <= b.delivered_ps) last_inject = t;
+    SimTime last_inject = first_inject;
+    for (std::size_t k = begin; k < end; ++k) {
+      const TraceEvent& ev = events[keys[k].second];
+      if (ev.type == TraceEventType::kInject && ev.start > last_inject &&
+          ev.start <= b.delivered_ps) {
+        last_inject = ev.start;
+      }
     }
     b.total_ps = b.delivered_ps - b.created_ps;
-    b.queuing_ps = lc.first_inject - b.created_ps - b.crypto_ps;
-    b.retransmit_ps = last_inject - lc.first_inject;
+    b.queuing_ps = first_inject - b.created_ps - b.crypto_ps;
+    b.retransmit_ps = last_inject - first_inject;
     b.wire_ps = b.delivered_ps - last_inject;
     out.push_back(b);
   }
   return out;
 }
 
-std::string breakdown_csv(const std::vector<TraceEvent>& events) {
-  std::string out =
+std::string breakdown_csv(EventView events) {
+  TextBuilder out;
+  out.text(
       "trace_id,src,dst,class,created_ps,delivered_ps,total_ps,queuing_ps,"
       "crypto_ps,retransmit_ps,wire_ps,serialize_ps,switch_ps,hops,"
-      "retransmits\n";
+      "retransmits\n");
   for (const PacketBreakdown& b : compute_breakdown(events)) {
-    append_int(out, static_cast<std::int64_t>(b.packet_id));
-    out += ',';
-    append_int(out, b.src_node);
-    out += ',';
-    append_int(out, b.dst_node);
-    out += ',';
-    append_int(out, b.traffic_class);
-    out += ',';
-    append_int(out, b.created_ps);
-    out += ',';
-    append_int(out, b.delivered_ps);
-    out += ',';
-    append_int(out, b.total_ps);
-    out += ',';
-    append_int(out, b.queuing_ps);
-    out += ',';
-    append_int(out, b.crypto_ps);
-    out += ',';
-    append_int(out, b.retransmit_ps);
-    out += ',';
-    append_int(out, b.wire_ps);
-    out += ',';
-    append_int(out, b.serialize_ps);
-    out += ',';
-    append_int(out, b.switch_ps);
-    out += ',';
-    append_int(out, b.hops);
-    out += ',';
-    append_int(out, b.retransmits);
-    out += '\n';
+    out.integer(static_cast<std::int64_t>(b.packet_id));
+    for (const std::int64_t v :
+         {std::int64_t{b.src_node}, std::int64_t{b.dst_node},
+          std::int64_t{b.traffic_class}, b.created_ps, b.delivered_ps,
+          b.total_ps, b.queuing_ps, b.crypto_ps, b.retransmit_ps, b.wire_ps,
+          b.serialize_ps, b.switch_ps, std::int64_t{b.hops},
+          std::int64_t{b.retransmits}}) {
+      out.text(',').integer(v);
+    }
+    out.text('\n');
   }
-  return out;
+  return out.take();
 }
 
 }  // namespace ibsec::obs

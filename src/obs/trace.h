@@ -26,19 +26,29 @@
 // the tail of the event stream to stderr before aborting. Install the dump
 // from at most one live recorder at a time — the hook is process-global.
 //
-// Exports:
+// Exports read the stored events in place through an EventView — the
+// ring's two contiguous runs, oldest first — and never copy a TraceEvent:
 //   to_chrome_json()  — Chrome trace_event JSON ("X" complete spans + "i"
 //                       instants, ts/dur in microseconds), loadable in
 //                       Perfetto / chrome://tracing. One track per packet
-//                       (tid = trace id).
+//                       (tid = trace id). Orders the events through a
+//                       permutation — (start, uint32 record index) keys,
+//                       radix-sorted — never by moving the events, and
+//                       writes into a pre-reserved string.
 //   compute_breakdown()/breakdown_csv() — the derived per-packet latency
 //                       decomposition (queuing / crypto / retransmit /
 //                       wire), components summing exactly to the
-//                       end-to-end latency.
+//                       end-to-end latency. Groups each packet's events by
+//                       sorting (trace id, record index) pairs, so memory
+//                       is O(events) however sparse sampling leaves the
+//                       ids, with no per-packet node or vector.
+// Integers format through obs/format.h (std::to_chars), never through
+// double or locale-dependent formatting.
 #pragma once
 
 #include <cstdint>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -85,6 +95,27 @@ struct TraceEvent {
   std::int64_t a0 = 0;   ///< type-specific (kCreate: dst node)
   std::int64_t a1 = 0;   ///< type-specific (kCreate: traffic class)
   std::string detail;    ///< port name, drop cause, verdict, ...
+};
+
+/// Stored events in record order, read in place: a flight-recorder ring
+/// unrolls into two contiguous runs, oldest first. Converts implicitly from
+/// a vector (one run), which must outlive the view.
+class EventView {
+ public:
+  // NOLINTNEXTLINE(google-explicit-constructor): vectors convert on purpose.
+  EventView(const std::vector<TraceEvent>& events) : older_(events) {}
+  EventView(std::span<const TraceEvent> older,
+            std::span<const TraceEvent> newer)
+      : older_(older), newer_(newer) {}
+
+  std::size_t size() const { return older_.size() + newer_.size(); }
+  const TraceEvent& operator[](std::size_t i) const {
+    return i < older_.size() ? older_[i] : newer_[i - older_.size()];
+  }
+
+ private:
+  std::span<const TraceEvent> older_;
+  std::span<const TraceEvent> newer_;
 };
 
 struct TraceConfig {
@@ -142,7 +173,9 @@ class TraceRecorder {
   std::uint64_t events_evicted() const { return evicted_; }
   std::uint64_t dump_count() const { return dumps_; }
 
-  /// Stored events in record order (ring unrolled oldest-first).
+  /// Stored events in record order (ring unrolled oldest-first), in place.
+  EventView view() const;
+  /// A copy of view(), for callers that keep events past the recorder.
   std::vector<TraceEvent> events() const;
 
   /// Chrome trace_event JSON — byte-deterministic: events sort by start
@@ -204,11 +237,11 @@ struct PacketBreakdown {
 
 /// One entry per packet with both kCreate and kDeliver events, sorted by
 /// trace id. Packets whose lifecycle is incomplete (dropped, in flight, or
-/// partially evicted from a flight recorder) are skipped.
-std::vector<PacketBreakdown> compute_breakdown(
-    const std::vector<TraceEvent>& events);
+/// partially evicted from a flight recorder) are skipped. A vector of
+/// events converts to the view.
+std::vector<PacketBreakdown> compute_breakdown(EventView events);
 
 /// CSV report (header + one row per delivered packet), byte-deterministic.
-std::string breakdown_csv(const std::vector<TraceEvent>& events);
+std::string breakdown_csv(EventView events);
 
 }  // namespace ibsec::obs

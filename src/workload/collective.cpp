@@ -139,7 +139,12 @@ std::string WorkloadSpec::to_string() const {
     std::snprintf(buf, sizeof(buf), "%s%cbytes=%zu,rounds=%d", head,
                   kind == Kind::kAllToAll ? ':' : ',', bytes, rounds);
   }
-  return buf;
+  std::string out = buf;
+  if (step_interval != WorkloadSpec{}.step_interval) {
+    out += ",interval_us=" +
+           std::to_string(step_interval / time_literals::kMicrosecond);
+  }
+  return out;
 }
 
 std::vector<CollectiveMessage> collective_schedule(const WorkloadSpec& spec,

@@ -428,15 +428,15 @@ ScenarioResult Scenario::run() {
   if (timeseries_) {
     // Closing bucket, unless the last scheduled tick already landed exactly
     // at end-of-run (run_until executes events at t == end).
-    if (timeseries_->samples().empty() ||
-        timeseries_->samples().back().t != sim.now()) {
+    const std::size_t rows = timeseries_->rows();
+    if (rows == 0 || timeseries_->row_time(rows - 1) != sim.now()) {
       timeseries_->sample(sim.now());
     }
     result.timeseries_csv = timeseries_->to_csv();
   }
   if (sim.trace().enabled()) {
     result.trace_json = sim.trace().to_chrome_json();
-    result.trace_breakdown_csv = obs::breakdown_csv(sim.trace().events());
+    result.trace_breakdown_csv = obs::breakdown_csv(sim.trace().view());
   }
   if (sim.audit().enabled()) {
     result.audit_jsonl = sim.audit().to_jsonl();

@@ -148,43 +148,99 @@ std::string sha256_hex(const std::string& s) {
   return to_hex(digest);
 }
 
+// The ledger's campaign_obs shape, shrunk to a test window: every defense
+// plus scan/replay/trap-forge campaigns, every packet traced into a
+// flight-recorder ring small enough to wrap, the audit ring on, and the
+// default time-series patterns. It pins the sink paths the mesh variants
+// leave out: an evicting trace ring, a campaign and the audit export.
+ScenarioConfig campaign_variant() {
+  ScenarioConfig cfg;
+  cfg.seed = 41;
+  cfg.warmup = 50 * kMicrosecond;
+  cfg.duration = 600 * kMicrosecond;
+  cfg.fabric.filter_mode = fabric::FilterMode::kSif;
+  cfg.key_management = KeyManagement::kPartitionLevel;
+  cfg.auth_enabled = true;
+  cfg.replay_protection = true;
+  cfg.num_attackers = 2;
+  cfg.attack = *AttackCampaignSpec::parse(
+      "seed=41;attack=scan:count=30,interval=15us;"
+      "attack=replay:count=30,interval=15us;"
+      "attack=trap-forge:count=5,interval=100us");
+  cfg.trace.enabled = true;
+  cfg.trace.sample_every = 1;
+  cfg.trace.sample_seed = cfg.seed;
+  cfg.trace.flight_recorder = true;
+  cfg.trace.capacity = 1u << 14;
+  cfg.audit.enabled = true;
+  cfg.audit.ring = true;
+  cfg.timeseries_dt = 10 * kMicrosecond;
+  return cfg;
+}
+
 TEST(Determinism, GoldenExportHashesAcrossRefactors) {
   // Run-to-run determinism (the tests above) would not notice a refactor
   // that deterministically changes simulation behaviour — e.g. a callback
   // container that reorders same-instant events, or a CRC/MAC rewrite that
   // computes different bytes. These SHA-256 hashes pin the exact exports of
-  // two config variants; they only move when an intentional behaviour
+  // three config variants; they only move when an intentional behaviour
   // change ships, and such a change must update them in the same commit
   // with a note in CHANGES.md.
   struct Golden {
-    int variant;
+    const char* name;
+    ScenarioConfig config;
     const char* obs_json;
     const char* trace_json;
     const char* breakdown_csv;
     const char* timeseries_csv;
+    const char* audit_jsonl;
   };
   const Golden kGolden[] = {
-      {0, "d09a3fb618a04f7c45b25049230cc2b5e450851a6d15861ed61b1c22ee0030bf",
+      {"mesh 0", config_variant(0),
+       "d09a3fb618a04f7c45b25049230cc2b5e450851a6d15861ed61b1c22ee0030bf",
        "b91a24f7b2abbcc31b2706d35a19b77f7d2951c85102baf25ae78d24cc3b5bb6",
        "eebf4423c8ae660d320b3cfcf6dc310d5109c4736beb97aec8a01a77705258b8",
-       "e183d754cf79b400646488d00449d68e2190883a6ac98f04f72c1c8a4123a903"},
-      {2, "01238c0759fce0c91e738386a32e89fe660793632fcab9b8bece2a4a8fe44660",
+       "e183d754cf79b400646488d00449d68e2190883a6ac98f04f72c1c8a4123a903",
+       "70f4582f9888a6d1a3af2a046a1d657334b35b8bb1f6e5ad51942cee02f08fb4"},
+      {"mesh 2", config_variant(2),
+       "01238c0759fce0c91e738386a32e89fe660793632fcab9b8bece2a4a8fe44660",
        "fe16a728575a30551014de0b07e1a86ab55ecec19aefeb6024078fa7c6050c00",
        "586f3598ae5ec5a1b2256cbc5e6ea1010b3862fbbe36e2812a80ad04a2ecb457",
-       "3587574b7b069e741c52a088fba2244d450256e8cb88a1c4b11277882596642e"},
+       "3587574b7b069e741c52a088fba2244d450256e8cb88a1c4b11277882596642e",
+       "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"campaign", campaign_variant(),
+       "cb9c4232d7360115cba394397598cebffa952dd7ad53fa0fbb6bfa4bd9aa6a0b",
+       "7639d0b24ee6233eb07000905733238250842f668afeb565c16893a180fb8802",
+       "79c95dda543c2512df4ea751f457c07963e55cff849fc8dd68748195000c5a2e",
+       "70345469cb7b8535fea8703f1b37b8a47109c506c35f653a4450c386464dc0bd",
+       "34e47157cdbbcaf15f8ccd6ffb0587d6e05be647c7f4501dc12e7de7b3a05c9e"},
   };
   for (const Golden& golden : kGolden) {
-    Scenario scenario(config_variant(golden.variant));
+    Scenario scenario(golden.config);
     const ScenarioResult r = scenario.run();
     EXPECT_EQ(sha256_hex(r.obs.to_json()), golden.obs_json)
-        << "variant " << golden.variant << " obs snapshot drifted";
+        << golden.name << " obs snapshot drifted";
     EXPECT_EQ(sha256_hex(r.trace_json), golden.trace_json)
-        << "variant " << golden.variant << " trace export drifted";
+        << golden.name << " trace export drifted";
     EXPECT_EQ(sha256_hex(r.trace_breakdown_csv), golden.breakdown_csv)
-        << "variant " << golden.variant << " latency breakdown drifted";
+        << golden.name << " latency breakdown drifted";
     EXPECT_EQ(sha256_hex(r.timeseries_csv), golden.timeseries_csv)
-        << "variant " << golden.variant << " time series drifted";
+        << golden.name << " time series drifted";
+    EXPECT_EQ(sha256_hex(r.audit_jsonl), golden.audit_jsonl)
+        << golden.name << " audit export drifted";
   }
+}
+
+TEST(Determinism, CampaignGoldenCoversWrappedRings) {
+  // The campaign golden only pins what it claims if its flight recorder
+  // evicted, its audit log saw the campaigns, and the attacks ran.
+  Scenario scenario(campaign_variant());
+  const ScenarioResult r = scenario.run();
+  const auto& sim = scenario.fabric().simulator();
+  EXPECT_GT(sim.trace().events_evicted(), 0u);
+  EXPECT_GT(sim.audit().events_recorded(), 0u);
+  EXPECT_GT(r.obs.sum_matching("attacker.*.attempts"), 0);
+  EXPECT_NE(r.trace_breakdown_csv.find('\n'), std::string::npos);
 }
 
 // Off-mesh variants: the same golden-pinning discipline for the fat-tree

@@ -4,10 +4,14 @@
 // both standalone and against a live scenario.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <sstream>
+#include <tuple>
 
+#include "common/alloc_probe.h"
 #include "common/check.h"
+#include "fabric/fault.h"
 #include "obs/trace.h"
 #include "workload/scenario.h"
 #include "workload/trace.h"
@@ -386,6 +390,178 @@ TEST(LifecycleTrace, LiveScenarioSamplingTracesSubset) {
   const auto& trace = scenario.fabric().simulator().trace();
   EXPECT_GT(trace.packets_sampled(), 0u);
   EXPECT_LT(trace.packets_sampled() * 3, trace.packets_seen());
+}
+
+// --- breakdown fold vs. the map-based reference -----------------------------
+
+// The per-packet fold as it stood before the sort-based rewrite: a std::map
+// keyed by trace id, one vector of inject times per packet. Kept here as
+// the oracle for obs::compute_breakdown.
+std::vector<obs::PacketBreakdown> reference_breakdown(
+    const std::vector<obs::TraceEvent>& events) {
+  struct Lifecycle {
+    obs::PacketBreakdown b;
+    SimTime first_inject = -1;
+    std::vector<SimTime> injects;
+    bool created = false;
+    bool delivered = false;
+  };
+  std::map<std::uint64_t, Lifecycle> packets;
+  for (const obs::TraceEvent& ev : events) {
+    Lifecycle& lc = packets[ev.packet_id];
+    lc.b.packet_id = ev.packet_id;
+    switch (ev.type) {
+      case obs::TraceEventType::kCreate:
+        lc.created = true;
+        lc.b.created_ps = ev.start;
+        lc.b.src_node = ev.node;
+        lc.b.dst_node = static_cast<int>(ev.a0);
+        lc.b.traffic_class = static_cast<int>(ev.a1);
+        break;
+      case obs::TraceEventType::kInject:
+        if (lc.first_inject < 0 || ev.start < lc.first_inject) {
+          lc.first_inject = ev.start;
+        }
+        lc.injects.push_back(ev.start);
+        break;
+      case obs::TraceEventType::kDeliver:
+        lc.delivered = true;
+        lc.b.delivered_ps = ev.start;
+        break;
+      case obs::TraceEventType::kMacSign:
+        if (lc.b.crypto_ps == 0) lc.b.crypto_ps = ev.duration;
+        break;
+      case obs::TraceEventType::kSerialize:
+        lc.b.serialize_ps += ev.duration;
+        ++lc.b.hops;
+        break;
+      case obs::TraceEventType::kSwitch:
+        lc.b.switch_ps += ev.duration;
+        break;
+      case obs::TraceEventType::kRcRetransmit:
+        ++lc.b.retransmits;
+        break;
+      default:
+        break;
+    }
+  }
+  std::vector<obs::PacketBreakdown> out;
+  for (auto& [id, lc] : packets) {
+    if (id == 0 || !lc.created || !lc.delivered || lc.first_inject < 0) {
+      continue;
+    }
+    obs::PacketBreakdown& b = lc.b;
+    SimTime last_inject = lc.first_inject;
+    for (SimTime t : lc.injects) {
+      if (t > last_inject && t <= b.delivered_ps) last_inject = t;
+    }
+    b.total_ps = b.delivered_ps - b.created_ps;
+    b.queuing_ps = lc.first_inject - b.created_ps - b.crypto_ps;
+    b.retransmit_ps = last_inject - lc.first_inject;
+    b.wire_ps = b.delivered_ps - last_inject;
+    out.push_back(b);
+  }
+  return out;
+}
+
+auto fields(const obs::PacketBreakdown& b) {
+  return std::tuple(b.packet_id, b.src_node, b.dst_node, b.traffic_class,
+                    b.created_ps, b.delivered_ps, b.total_ps, b.queuing_ps,
+                    b.crypto_ps, b.retransmit_ps, b.wire_ps, b.serialize_ps,
+                    b.switch_ps, b.hops, b.retransmits);
+}
+
+void expect_same_rows(const std::vector<obs::PacketBreakdown>& got,
+                      const std::vector<obs::PacketBreakdown>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(fields(got[i]) == fields(want[i]))
+        << "row " << i << " (packet " << want[i].packet_id << ")";
+  }
+}
+
+TEST(LifecycleTrace, BreakdownMatchesReferenceOnWrappedRing) {
+  // Lossy links under RC: retransmits, multiple injects per packet, and a
+  // ring small enough that many lifecycles lose their first events.
+  ScenarioConfig cfg;
+  cfg.seed = 17;
+  cfg.warmup = 0;
+  cfg.duration = 400 * time_literals::kMicrosecond;
+  cfg.fabric.fault_campaign =
+      *fabric::FaultCampaign::parse("seed=3;drop=0.03;corrupt=0.01");
+  cfg.rc.enabled = true;
+  cfg.enable_rc_messages = true;
+  cfg.rc_load = 0.15;
+  cfg.trace.enabled = true;
+  cfg.trace.flight_recorder = true;
+  cfg.trace.capacity = 6000;
+  Scenario scenario(cfg);
+  const ScenarioResult result = scenario.run();
+  const auto& trace = scenario.fabric().simulator().trace();
+  ASSERT_GT(trace.events_evicted(), 0u);
+  const auto want = reference_breakdown(trace.events());
+  ASSERT_GT(want.size(), 50u);
+  bool retransmitted = false;
+  for (const auto& row : want) retransmitted |= row.retransmits > 0;
+  EXPECT_TRUE(retransmitted);
+  expect_same_rows(obs::compute_breakdown(trace.view()), want);
+  EXPECT_EQ(result.trace_breakdown_csv, obs::breakdown_csv(trace.events()));
+}
+
+TEST(LifecycleTrace, BreakdownMatchesReferenceOnSparseSampling) {
+  // 1-in-1000 sampling: few packets, ids spread over the whole serial range.
+  ScenarioConfig cfg;
+  cfg.seed = 19;
+  cfg.warmup = 0;
+  cfg.duration = 3 * time_literals::kMillisecond;
+  cfg.trace.enabled = true;
+  cfg.trace.sample_every = 1000;
+  cfg.trace.sample_seed = 19;
+  Scenario scenario(cfg);
+  scenario.run();
+  const auto& trace = scenario.fabric().simulator().trace();
+  const auto want = reference_breakdown(trace.events());
+  ASSERT_GE(want.size(), 3u);
+  EXPECT_GT(want.back().packet_id, 1000u);
+  expect_same_rows(obs::compute_breakdown(trace.view()), want);
+}
+
+TEST(LifecycleTrace, BreakdownOfFarApartIdsRunsInBoundedMemory) {
+  // Ids 1 and 1<<40, events interleaved: a table indexed by id would need
+  // terabytes; the fold must stay proportional to the event count. A third
+  // id, 4097, shares id 1's low bits, so grouping must look at every bit.
+  const std::uint64_t far = std::uint64_t{1} << 40;
+  const std::uint64_t mid = 4097;
+  const auto event = [](std::uint64_t id, obs::TraceEventType type,
+                        SimTime start, SimTime duration = 0) {
+    obs::TraceEvent ev;
+    ev.packet_id = id;
+    ev.type = type;
+    ev.node = 2;
+    ev.start = start;
+    ev.duration = duration;
+    ev.a0 = 5;
+    return ev;
+  };
+  using T = obs::TraceEventType;
+  const std::vector<obs::TraceEvent> events = {
+      event(far, T::kCreate, 0),         event(1, T::kCreate, 10),
+      event(mid, T::kCreate, 20),        event(far, T::kMacSign, 0, 300),
+      event(1, T::kInject, 40),          event(mid, T::kInject, 60),
+      event(far, T::kInject, 500),       event(1, T::kSerialize, 40, 200),
+      event(mid, T::kDeliver, 700),      event(far, T::kSerialize, 500, 200),
+      event(1, T::kDeliver, 900),        event(far, T::kRcRetransmit, 950),
+      event(far, T::kInject, 1000),      event(far, T::kDeliver, 1500),
+  };
+  const std::uint64_t bytes_before = alloc_bytes();
+  const auto rows = obs::compute_breakdown(events);
+  EXPECT_LT(alloc_bytes() - bytes_before, 64u * 1024);
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].packet_id, 1u);
+  EXPECT_EQ(rows[1].packet_id, mid);
+  EXPECT_EQ(rows[2].packet_id, far);
+  EXPECT_EQ(rows[2].retransmit_ps, 500);
+  expect_same_rows(rows, reference_breakdown(events));
 }
 
 }  // namespace
