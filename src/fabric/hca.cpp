@@ -28,6 +28,8 @@ void Hca::send(ib::Packet&& pkt) {
         node_id_, static_cast<int>(pkt.meta.dst_node),
         static_cast<int>(pkt.meta.traffic_class), sim_.now());
   }
+  // Whatever enters the fabric is untrusted: its first switch re-hashes it.
+  pkt.meta.vcrc_verified = false;
   ++packets_sent_;
   obs_injected_->inc();
   const ib::VirtualLane vl = pkt.lrh.vl;

@@ -111,13 +111,6 @@ std::size_t OutputPort::queue_depth(ib::VirtualLane vl) const {
   return vl_queues_[vl].size();
 }
 
-std::size_t OutputPort::queued_bytes(ib::VirtualLane vl) const {
-  const auto& q = vl_queues_[vl];
-  std::size_t bytes = 0;
-  for (std::size_t i = 0; i < q.size(); ++i) bytes += q.at(i).pkt.wire_size();
-  return bytes;
-}
-
 std::size_t OutputPort::total_queue_depth() const {
   std::size_t n = 0;
   for (const auto& q : vl_queues_) n += q.size();
@@ -253,9 +246,11 @@ IBSEC_HOT void OutputPort::try_dispatch() {
     }
 
     // Fault injection: flip one random payload/header byte in flight. The
-    // VCRC is left stale, so the next hop's link-layer check catches it.
+    // VCRC is left stale and the verified flag cleared, so the next hop's
+    // link-layer check re-hashes the packet and catches it.
     if (faults_.corruption_rate > 0.0 &&
         fault_rng_.bernoulli(faults_.corruption_rate)) {
+      entry.pkt.meta.vcrc_verified = false;
       ++packets_corrupted_;
       obs_corrupted_->inc();
       if (sim_.trace().enabled() && entry.pkt.meta.trace_id != 0) {
@@ -318,10 +313,6 @@ void InputPort::release_bytes(std::size_t bytes, ib::VirtualLane vl) {
       upstream->credit_return(vl, bytes);
     });
   }
-}
-
-std::size_t InputPort::used_bytes(ib::VirtualLane vl) const {
-  return used_[vl];
 }
 
 }  // namespace ibsec::fabric

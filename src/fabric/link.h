@@ -70,7 +70,6 @@ class OutputPort {
   IBSEC_HOT void credit_return(ib::VirtualLane vl, std::size_t bytes);
 
   std::size_t queue_depth(ib::VirtualLane vl) const;
-  std::size_t queued_bytes(ib::VirtualLane vl) const;
   std::size_t total_queue_depth() const;
   std::size_t credits(ib::VirtualLane vl) const;
 
@@ -177,8 +176,6 @@ class InputPort {
   }
   /// Same, when the packet has already been moved away.
   void release_bytes(std::size_t bytes, ib::VirtualLane vl);
-
-  std::size_t used_bytes(ib::VirtualLane vl) const;
 
  private:
   sim::Simulator* sim_ = nullptr;

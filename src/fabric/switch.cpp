@@ -1,8 +1,7 @@
 #include "fabric/switch.h"
 
-#include <limits>
-
 #include "common/annotations.h"
+#include "common/check.h"
 
 namespace ibsec::fabric {
 namespace {
@@ -20,11 +19,11 @@ const char* filter_mode_name(FilterMode mode) {
 }  // namespace
 
 Switch::Switch(sim::Simulator& simulator, const FabricConfig& config, int id,
-               int num_ports)
+               int num_ports, std::size_t num_lids)
     : sim_(simulator),
       config_(config),
       id_(id),
-      routes_(std::numeric_limits<ib::Lid>::max() + 1, -1),
+      routes_(num_lids, -1),
       filter_(config, simulator, num_ports,
               "switch." + std::to_string(id) + ".filter", id) {
   auto& reg = simulator.obs();
@@ -104,14 +103,21 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
     return;
   }
 
-  // Link-level integrity: a corrupted packet is dropped at the hop.
-  if (!pkt.vcrc_valid()) {
-    ++stats_.dropped_vcrc;
-    obs_.drop_vcrc->inc();
-    trace.instant(trace_id, obs::TraceEventType::kSwitchDrop, id_, sim_.now(),
-                  "vcrc");
-    input.release(pkt, vl);
-    return;
+  // Link-level integrity: a corrupted packet is dropped at the hop. The
+  // CRC-16 pass runs only when a covered byte may have changed since the
+  // last check (see PacketMeta::vcrc_verified); debug builds re-hash anyway
+  // to prove the flag never hides a corruption.
+  IBSEC_DCHECK(!pkt.meta.vcrc_verified || pkt.vcrc_valid());
+  if (!pkt.meta.vcrc_verified) {
+    if (!pkt.vcrc_valid()) {
+      ++stats_.dropped_vcrc;
+      obs_.drop_vcrc->inc();
+      trace.instant(trace_id, obs::TraceEventType::kSwitchDrop, id_,
+                    sim_.now(), "vcrc");
+      input.release(pkt, vl);
+      return;
+    }
+    pkt.meta.vcrc_verified = true;
   }
 
   // Ingress admission control (valid-P_Key flood defence, sec. 7); VL15 is
@@ -176,7 +182,8 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
       pool_.release(slot);
       return;
     }
-    const int out_port = routes_.at(slot->lrh.dlid);
+    const ib::Lid dlid = slot->lrh.dlid;
+    const int out_port = dlid < routes_.size() ? routes_[dlid] : -1;
     if (out_port < 0 || out_port >= num_ports() || out_port == in_port) {
       ++stats_.dropped_no_route;
       obs_.drop_no_route->inc();
@@ -189,7 +196,6 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
     }
     ++stats_.forwarded;
     obs_.forwarded->inc();
-    slot->refresh_vcrc();
 
     // Hold input-buffer bytes until the packet starts on the output wire;
     // the release triggers the upstream credit return.

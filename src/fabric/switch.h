@@ -7,9 +7,11 @@
 // control. Input-buffer bytes are held until the packet starts leaving on
 // the output link, which is what propagates back-pressure.
 //
-// The VCRC is verified on entry and recomputed before forwarding (variant
-// fields may change at a hop); the ICRC/AT is untouched — switches cannot
-// and need not validate it, which is what keeps the paper's MAC end-to-end.
+// The VCRC is verified on entry, once per packet: later switches trust
+// PacketMeta::vcrc_verified unless a link corrupted the packet since. No
+// switch rewrites a covered field, so none recomputes the VCRC. The ICRC/AT
+// is untouched — switches cannot and need not validate it, which is what
+// keeps the paper's MAC end-to-end.
 #pragma once
 
 #include <cstdint>
@@ -25,13 +27,16 @@ namespace ibsec::fabric {
 
 class Switch final : public Device {
  public:
+  /// `num_lids` sizes the linear forwarding table (LIDs 0..num_lids-1), as
+  /// IBA's LinearFDBTop bounds it to the highest assigned LID.
   Switch(sim::Simulator& simulator, const FabricConfig& config, int id,
-         int num_ports);
+         int num_ports, std::size_t num_lids);
 
   // --- wiring (topology builder) --------------------------------------------
   OutputPort& out(int port) { return *outputs_.at(static_cast<std::size_t>(port)); }
   void set_upstream(int port, OutputPort* upstream);
-  /// DLID -> output port. Unknown DLIDs drop.
+  /// DLID -> output port; `dlid` must be below the table size. Unknown DLIDs,
+  /// including any past the table, drop as no-route.
   void set_route(ib::Lid dlid, int port);
   void set_ingress_port(int port, bool is_ingress);
 
@@ -87,7 +92,7 @@ class Switch final : public Device {
   std::vector<InputPort> inputs_;
   /// Recycles the slots that park packets during the crossing delay.
   PacketPool pool_;
-  std::vector<int> routes_;  // indexed by DLID; -1 = no route
+  std::vector<int> routes_;  // indexed by DLID; -1 or past the end = no route
   SwitchPartitionFilter filter_;
   // Per-port ingress admission limiter; only HCA-facing ports get one, and
   // only when config_.ingress_rate_limit_fraction > 0.

@@ -23,10 +23,12 @@ void Fabric::build() {
   IBSEC_CHECK(n == config_.node_count())
       << "blueprint hosts " << n << " vs config " << config_.node_count();
 
+  // LIDs run 1..n (lid_of_node), so n + 1 entries cover every route.
+  const auto num_lids = static_cast<std::size_t>(n) + 1;
   switches_.reserve(static_cast<std::size_t>(blueprint_.num_switches));
   for (int i = 0; i < blueprint_.num_switches; ++i) {
-    switches_.push_back(
-        std::make_unique<Switch>(sim_, config_, i, blueprint_.switch_radix));
+    switches_.push_back(std::make_unique<Switch>(
+        sim_, config_, i, blueprint_.switch_radix, num_lids));
   }
   hcas_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -95,20 +97,6 @@ OutputPort* Fabric::find_output_port(const std::string& name) {
     }
   }
   return nullptr;
-}
-
-std::uint64_t Fabric::total_link_fault_drops() const {
-  std::uint64_t total = 0;
-  for (const auto& hca : hcas_) {
-    total += hca->out().packets_dropped() + hca->out().packets_flap_dropped();
-  }
-  for (const auto& sw : switches_) {
-    for (int p = 0; p < sw->num_ports(); ++p) {
-      total += sw->out(p).packets_dropped() +
-               sw->out(p).packets_flap_dropped();
-    }
-  }
-  return total;
 }
 
 std::uint64_t Fabric::total_filter_lookups() const {

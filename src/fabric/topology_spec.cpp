@@ -51,18 +51,6 @@ bool split_kv(std::string_view token, std::string_view& key,
 
 }  // namespace
 
-const char* to_string(TopologyKind kind) {
-  switch (kind) {
-    case TopologyKind::kMesh:
-      return "mesh";
-    case TopologyKind::kFatTree:
-      return "fattree";
-    case TopologyKind::kDragonfly:
-      return "dragonfly";
-  }
-  return "?";
-}
-
 int TopologySpec::node_count(int fallback_w, int fallback_h) const {
   switch (kind) {
     case TopologyKind::kMesh: {

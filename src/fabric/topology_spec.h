@@ -20,8 +20,6 @@ enum class TopologyKind : std::uint8_t {
   kDragonfly = 2,  ///< groups of routers with all-to-all global links
 };
 
-const char* to_string(TopologyKind kind);
-
 /// Dragonfly inter-group path selection (both are encoded into the static
 /// per-destination routing tables — see topology_builder.h).
 enum class DragonflyRouting : std::uint8_t {

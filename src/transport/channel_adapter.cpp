@@ -333,8 +333,11 @@ std::uint32_t ChannelAdapter::port_attribute(std::uint32_t attr) const {
 
 void ChannelAdapter::on_packet(ib::Packet&& pkt) {
   // End-node link-layer integrity: corruption on the final hop (the
-  // switch->HCA link) reaches us unchecked by any switch.
-  if (!pkt.vcrc_valid()) {
+  // switch->HCA link) reaches us unchecked by any switch. That link clears
+  // the verified flag when it corrupts, so a set flag means the bytes are
+  // the ones a switch already checked.
+  IBSEC_DCHECK(!pkt.meta.vcrc_verified || pkt.vcrc_valid());
+  if (!pkt.meta.vcrc_verified && !pkt.vcrc_valid()) {
     ++counters_.vcrc_errors;
     retire_.vcrc->inc();
     trace_retire(pkt, "vcrc");

@@ -263,10 +263,6 @@ int CollectiveWorkload::rank_of_node(int node) const {
   return -1;
 }
 
-SimTime CollectiveWorkload::span() const {
-  return num_steps_ == 0 ? 0 : (num_steps_ - 1) * spec_.step_interval;
-}
-
 std::vector<std::uint8_t> CollectiveWorkload::make_payload(
     const CollectiveMessage& msg) const {
   std::vector<std::uint8_t> payload(std::max(spec_.bytes, kHeaderBytes));

@@ -92,7 +92,6 @@ class CollectiveWorkload {
   ib::Qpn qp_of_rank(int rank) const {
     return qps_.at(static_cast<std::size_t>(rank));
   }
-  SimTime span() const;  ///< start-relative time of the last step
 
   std::uint64_t posted() const { return posted_; }
   std::uint64_t post_failures() const { return post_failures_; }

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <map>
+#include <vector>
 
 #include "fabric/topology.h"
 
@@ -209,6 +210,36 @@ TEST(Fabric, VcrcCorruptionDroppedAtFirstSwitch) {
   fabric.hca(0).send(std::move(pkt));
   fabric.simulator().run();
   EXPECT_EQ(received, 0);
+  EXPECT_EQ(fabric.aggregate_switch_stats().dropped_vcrc, 1u);
+}
+
+TEST(Fabric, ReinjectedPacketIsRecheckedAtFirstSwitch) {
+  // A packet leaves the fabric with its VCRC marked verified. Edited and sent
+  // again, it is untrusted input: the first switch must re-hash it instead
+  // of trusting the flag it still carries.
+  Fabric fabric(small_config(2, 1));
+  std::vector<ib::Packet> at_node1;
+  int received_at_node0 = 0;
+  fabric.hca(1).set_receive_callback(
+      [&](ib::Packet&& pkt) { at_node1.push_back(std::move(pkt)); });
+  fabric.hca(0).set_receive_callback(
+      [&](ib::Packet&&) { ++received_at_node0; });
+  fabric.hca(0).send(make_packet(fabric, 0, 1));
+  fabric.simulator().run();
+  ASSERT_EQ(at_node1.size(), 1u);
+  ib::Packet pkt = std::move(at_node1.front());
+  ASSERT_TRUE(pkt.meta.vcrc_verified);
+
+  // Address it back to node 0 with a correct VCRC, then flip a payload byte.
+  pkt.lrh.slid = fabric.lid_of_node(1);
+  pkt.lrh.dlid = fabric.lid_of_node(0);
+  pkt.refresh_vcrc();
+  pkt.payload[7] ^= 0x01;
+  fabric.hca(1).send(std::move(pkt));
+  fabric.simulator().run();
+
+  EXPECT_EQ(received_at_node0, 0);
+  EXPECT_EQ(fabric.ingress_switch_of(1).stats().dropped_vcrc, 1u);
   EXPECT_EQ(fabric.aggregate_switch_stats().dropped_vcrc, 1u);
 }
 

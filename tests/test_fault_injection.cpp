@@ -111,6 +111,35 @@ TEST(FaultInjection, EndNodeCatchesLastHopCorruption) {
   EXPECT_GT(r.delivered, 100u); // plenty of clean traffic still flowed
 }
 
+TEST(FaultInjection, MidPathCorruptionDroppedAtNextSwitchOnly) {
+  // On a 4x1 mesh, corrupt every packet on the sw1 -> sw2 cable (mesh port 1
+  // faces +x). Each one was already verified at an earlier switch, so only
+  // the link clearing that mark makes sw2 re-hash it: every corrupted packet
+  // must be dropped there, and no other switch or CA may see one.
+  workload::ScenarioConfig cfg;
+  cfg.seed = 29;
+  cfg.fabric.mesh_width = 4;
+  cfg.fabric.mesh_height = 1;
+  cfg.num_partitions = 2;
+  cfg.enable_realtime = false;
+  cfg.best_effort_load = 0.3;
+  cfg.duration = 300 * kMicrosecond;
+  cfg.fabric.fault_campaign =
+      *FaultCampaign::parse("seed=3;link=sw1.out1:corrupt=1");
+  workload::Scenario scenario(cfg);
+  scenario.run();
+  scenario.fabric().simulator().run();  // drain in-flight packets
+  const obs::Snapshot snap = scenario.fabric().simulator().obs().snapshot();
+
+  const std::int64_t corrupted = snap.at("link.sw1.out1.faults.corrupted");
+  EXPECT_GT(corrupted, 0);
+  EXPECT_EQ(corrupted, snap.at("link.sw1.out1.packets"));
+  EXPECT_EQ(snap.sum_matching("link.*.faults.corrupted"), corrupted);
+  EXPECT_EQ(snap.at("switch.2.drop.vcrc"), corrupted);
+  EXPECT_EQ(snap.sum_matching("switch.*.drop.vcrc"), corrupted);
+  EXPECT_EQ(snap.sum_matching("ca.*.retired.vcrc"), 0);
+}
+
 TEST(FaultInjection, DeterministicGivenSeed) {
   auto run_once = [] {
     workload::ScenarioConfig cfg;

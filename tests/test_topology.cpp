@@ -83,6 +83,32 @@ TEST(Topology, SelfAddressedPacketsAreNotHairpinned) {
   EXPECT_EQ(fabric.aggregate_switch_stats().dropped_no_route, 1u);
 }
 
+TEST(Topology, DlidPastTheRouteTableIsNoRoute) {
+  // Route tables hold one entry per assigned LID (1..n), not the whole LID
+  // space: a DLID past the table is an unknown destination, dropped like any
+  // other, not an out-of-range lookup.
+  FabricConfig cfg;
+  cfg.mesh_width = 2;
+  cfg.mesh_height = 1;
+  Fabric fabric(cfg);
+  int received = 0;
+  for (int node = 0; node < fabric.node_count(); ++node) {
+    fabric.hca(node).set_receive_callback(
+        [&](ib::Packet&&) { ++received; });
+  }
+  const auto past_table = static_cast<ib::Lid>(fabric.node_count() + 1);
+  for (const ib::Lid dlid : {past_table, ib::Lid{0xBFFF}}) {
+    ib::Packet pkt = probe_packet(fabric, 0, 1);
+    pkt.lrh.dlid = dlid;
+    pkt.finalize();
+    fabric.hca(0).send(std::move(pkt));
+  }
+  EXPECT_NO_THROW(fabric.simulator().run());
+  EXPECT_EQ(received, 0);
+  EXPECT_EQ(fabric.ingress_switch_of(0).stats().dropped_no_route, 2u);
+  EXPECT_EQ(fabric.aggregate_switch_stats().dropped_no_route, 2u);
+}
+
 TEST(Topology, ScenarioRunsOnLargeMesh) {
   workload::ScenarioConfig cfg;
   cfg.seed = 3;
