@@ -6,8 +6,15 @@
 // authentication candidates. The paper truncates tags to 32 bits to fit the
 // ICRC field; truncated_tag32() implements RFC 2104 section 5 truncation
 // (leftmost bytes).
+//
+// The key's two pad blocks are hashed once, at construction; every MAC then
+// starts from copies of those midstates, so a message costs its own blocks
+// plus one outer block. A one-shot mac() still compresses both pad blocks,
+// as the textbook construction does.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
 
@@ -32,17 +39,22 @@ class Hmac {
     } else {
       std::copy(key.begin(), key.end(), normalized.begin());
     }
+    std::array<std::uint8_t, kBlockSize> ipad;
+    std::array<std::uint8_t, kBlockSize> opad;
     for (std::size_t i = 0; i < kBlockSize; ++i) {
-      ipad_[i] = static_cast<std::uint8_t>(normalized[i] ^ 0x36);
-      opad_[i] = static_cast<std::uint8_t>(normalized[i] ^ 0x5c);
+      ipad[i] = static_cast<std::uint8_t>(normalized[i] ^ 0x36);
+      opad[i] = static_cast<std::uint8_t>(normalized[i] ^ 0x5c);
     }
+    Hash pad;
+    pad.update(ipad);
+    inner_start_ = pad.state();
+    pad.reset();
+    pad.update(opad);
+    outer_start_ = pad.state();
     reset();
   }
 
-  void reset() {
-    inner_.reset();
-    inner_.update(ipad_);
-  }
+  void reset() { inner_.resume(inner_start_, kBlockSize); }
 
   IBSEC_HOT void update(std::span<const std::uint8_t> data) {
     inner_.update(data);
@@ -51,7 +63,7 @@ class Hmac {
   Digest finalize() {
     const Digest inner_digest = inner_.finalize();
     Hash outer;
-    outer.update(opad_);
+    outer.resume(outer_start_, kBlockSize);
     outer.update(inner_digest);
     return outer.finalize();
   }
@@ -75,8 +87,10 @@ class Hmac {
   }
 
  private:
-  std::array<std::uint8_t, kBlockSize> ipad_{};
-  std::array<std::uint8_t, kBlockSize> opad_{};
+  // Chaining values after the key's ipad and opad blocks: reset() and
+  // finalize() resume from them instead of re-hashing a pad block per MAC.
+  typename Hash::State inner_start_{};
+  typename Hash::State outer_start_{};
   Hash inner_;
 };
 

@@ -54,8 +54,8 @@ class HmacMac final : public MacFunction {
   AuthAlgorithm algorithm() const override { return Alg; }
 
  private:
-  /// Key-primed HMAC state (pads computed once, inner hash seeded with
-  /// ipad); tag32 copies it onto the stack per call.
+  /// Key-primed HMAC state (ipad and opad midstates hashed once); tag32
+  /// copies it onto the stack per call.
   Hmac<Hash> proto_;
 };
 

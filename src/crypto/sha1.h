@@ -25,10 +25,22 @@ class Sha1 {
 
   static Digest hash(std::span<const std::uint8_t> data);
 
+  /// The chaining value. Between whole blocks it is all the state there
+  /// is, so Hmac keeps a key's two pad midstates in this form.
+  using State = std::array<std::uint32_t, 5>;
+  State state() const { return state_; }
+  /// Continues from a state() taken after hashing `bytes`, a whole number
+  /// of blocks.
+  void resume(const State& state, std::uint64_t bytes) {
+    state_ = state;
+    buffered_ = 0;
+    total_bytes_ = bytes;
+  }
+
  private:
   void process_block(const std::uint8_t* block);
 
-  std::array<std::uint32_t, 5> state_{};
+  State state_{};
   std::array<std::uint8_t, kBlockSize> buffer_{};
   std::size_t buffered_ = 0;
   std::uint64_t total_bytes_ = 0;

@@ -255,6 +255,11 @@ struct OffMeshTopo {
   std::uint64_t replay_success_min;
 };
 
+// Prints the topology spec: the struct's raw bytes hold string pointers, so
+// gtest's default print (which ctest appends to each test's name) would
+// change with every run under ASLR.
+void PrintTo(const OffMeshTopo& t, std::ostream* os) { *os << t.spec; }
+
 class OffMeshAttackCorpus : public ::testing::TestWithParam<OffMeshTopo> {
  protected:
   ScenarioConfig corpus_config(std::uint64_t seed = 1) const {

@@ -161,7 +161,8 @@ class ReferenceSampler {
       out += std::to_string(t);
       for (const std::string& name : names) {
         const auto it = values.find(name);
-        out += "," + std::to_string(it == values.end() ? 0 : it->second);
+        out += ',';
+        out += std::to_string(it == values.end() ? 0 : it->second);
       }
       out += "\n";
     }
