@@ -62,7 +62,8 @@ int main() {
     }
   });
   scenario.run();
-  const auto rejected_before = scenario.ca(0).counters().auth_rejected;
+  const obs::Counter& rejected = *scenario.ca(0).retire_obs().auth_rejected;
+  const auto rejected_before = rejected.value();
   for (const ib::Packet& pkt : captured) {
     ib::Packet replay = pkt;
     replay.meta = ib::PacketMeta{};
@@ -70,7 +71,7 @@ int main() {
     scenario.ca(5).inject_raw(std::move(replay));
   }
   scenario.fabric().simulator().run();
-  const auto rejected_after = scenario.ca(0).counters().auth_rejected;
+  const auto rejected_after = rejected.value();
   const auto blocked = rejected_after - rejected_before;
 
   std::printf("\nReplayed %zu captured packets; %llu blocked by the window\n",

@@ -131,7 +131,7 @@ int main() {
               static_cast<unsigned long long>(
                   cas[6]->counters().rdma_writes_applied),
               static_cast<unsigned long long>(
-                  cas[6]->counters().auth_unauthenticated),
+                  cas[6]->retire_obs().auth_missing->value()),
               (*cas[6]->memory_of(0xBEEF))[0], (*cas[6]->memory_of(0xBEEF))[1],
               (*cas[6]->memory_of(0xBEEF))[2], (*cas[6]->memory_of(0xBEEF))[3]);
   return 0;

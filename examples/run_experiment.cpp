@@ -260,6 +260,12 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  if (cfg.rc.enabled && cfg.replay_protection) {
+    std::fprintf(stderr,
+                 "--rc-load cannot be combined with --replay: the replay "
+                 "window rejects every RC retransmission\n");
+    return 2;
+  }
 
   bench::print_testbed_banner(cfg.fabric);
   std::printf("filter=%s attackers=%d duty=%.2f load=%.2f auth=%s alg=%s\n\n",

@@ -86,7 +86,7 @@ int main() {
   std::printf("[node 7] rejected unauthenticated packets: %llu "
               "(delivered stays %d)\n",
               static_cast<unsigned long long>(
-                  cas[7]->counters().auth_unauthenticated),
+                  cas[7]->retire_obs().auth_missing->value()),
               delivered);
 
   // On-demand service: the administrator turns authentication off for the

@@ -93,9 +93,12 @@ Aes128::Block Pmac::tag(std::span<const std::uint8_t> message) const {
     xor_into(sigma, scratch);
     xor_into(sigma, l_inv_);
   } else {
-    // Partial (or empty) final block: pad with 10*.
+    // Partial (or empty) final block: pad with 10*. An empty message's
+    // data() may be null, which memcpy must not see even for 0 bytes.
     scratch.fill(0);
-    std::memcpy(scratch.data(), message.data() + 16 * full_blocks, rem);
+    if (rem != 0) {
+      std::memcpy(scratch.data(), message.data() + 16 * full_blocks, rem);
+    }
     scratch[rem] = 0x80;
     xor_into(sigma, scratch);
   }

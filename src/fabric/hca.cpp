@@ -30,7 +30,6 @@ void Hca::send(ib::Packet&& pkt) {
   }
   // Whatever enters the fabric is untrusted: its first switch re-hashes it.
   pkt.meta.vcrc_verified = false;
-  ++packets_sent_;
   obs_injected_->inc();
   const ib::VirtualLane vl = pkt.lrh.vl;
   out_->enqueue(std::move(pkt), vl);
@@ -40,7 +39,6 @@ void Hca::packet_arrived(ib::Packet&& pkt, int /*in_port*/) {
   const ib::VirtualLane vl = pkt.lrh.vl;
   in_.accept(pkt, vl);
   pkt.meta.delivered_at = sim_.now();
-  ++packets_received_;
   obs_received_->inc();
   // Consume immediately: the HCA drains its receive buffer at line rate in
   // this model (the paper attributes congestion to the send side).

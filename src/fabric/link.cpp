@@ -156,7 +156,6 @@ IBSEC_HOT void OutputPort::try_dispatch() {
     // line is not busied — loop for the next queued packet.
     if (faults_.down_at(sim_.now())) {
       QueuedPacket entry = pop_front(vl);
-      ++packets_flap_dropped_;
       obs_flap_dropped_->inc();
       if (sim_.trace().enabled() && entry.pkt.meta.trace_id != 0) {
         sim_.trace().instant(entry.pkt.meta.trace_id,
@@ -214,8 +213,6 @@ IBSEC_HOT void OutputPort::try_dispatch() {
     // propagation; the line frees after serialization alone.
     auto line_free = [this, bytes, tx_time] {
       line_busy_ = false;
-      ++packets_sent_;
-      bytes_sent_ += bytes;
       busy_time_ += tx_time;
       obs_packets_->inc();
       obs_bytes_->inc(bytes);
@@ -230,7 +227,6 @@ IBSEC_HOT void OutputPort::try_dispatch() {
     // would-be delivery plus the reverse propagation — otherwise every lost
     // packet would leak credits and eventually wedge the VL.
     if (faults_.drop_rate > 0.0 && fault_rng_.bernoulli(faults_.drop_rate)) {
-      ++packets_dropped_;
       obs_dropped_->inc();
       if (sim_.trace().enabled() && entry.pkt.meta.trace_id != 0) {
         sim_.trace().instant(entry.pkt.meta.trace_id,
@@ -251,7 +247,6 @@ IBSEC_HOT void OutputPort::try_dispatch() {
     if (faults_.corruption_rate > 0.0 &&
         fault_rng_.bernoulli(faults_.corruption_rate)) {
       entry.pkt.meta.vcrc_verified = false;
-      ++packets_corrupted_;
       obs_corrupted_->inc();
       if (sim_.trace().enabled() && entry.pkt.meta.trace_id != 0) {
         sim_.trace().instant(entry.pkt.meta.trace_id,

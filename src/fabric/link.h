@@ -74,9 +74,16 @@ class OutputPort {
   std::size_t credits(ib::VirtualLane vl) const;
 
   /// Total packets that have completed transmission on this port.
-  std::uint64_t packets_sent() const { return packets_sent_; }
+  std::uint64_t packets_sent() const { return obs_packets_->value(); }
   /// Bytes that completed transmission on this port.
-  std::uint64_t bytes_sent() const { return bytes_sent_; }
+  std::uint64_t bytes_sent() const { return obs_bytes_->value(); }
+  std::uint64_t packets_corrupted() const { return obs_corrupted_->value(); }
+  /// Packets lost to random wire drops on this port.
+  std::uint64_t packets_dropped() const { return obs_dropped_->value(); }
+  /// Packets discarded because the link was flapped down at dispatch.
+  std::uint64_t packets_flap_dropped() const {
+    return obs_flap_dropped_->value();
+  }
   /// Fraction of wall-clock the line spent transmitting, up to `now`.
   double utilization(SimTime now) const {
     if (now <= 0) return 0.0;
@@ -119,17 +126,13 @@ class OutputPort {
   FaultProfile faults_;
   Rng fault_rng_;
   bool line_busy_ = false;
-  std::uint64_t packets_sent_ = 0;
-  std::uint64_t bytes_sent_ = 0;
-  std::uint64_t packets_corrupted_ = 0;
-  std::uint64_t packets_dropped_ = 0;
-  std::uint64_t packets_flap_dropped_ = 0;
   SimTime busy_time_ = 0;
-  // Registry handles under "link.<name>.". Credit stalls measure the spans
-  // where the line is free and packets wait but no VL has the credits to
-  // send — the hop-by-hop back-pressure signal behind the paper's queuing-
-  // time growth. Per-VL dispatch counters resolve lazily (most of the 16
-  // VLs never carry traffic). The faults.* counters feed the conservation
+  // Registry handles under "link.<name>.", the only store of the port's
+  // packet, byte and fault counts. Credit stalls measure the spans where
+  // the line is free and packets wait but no VL has the credits to send —
+  // the hop-by-hop back-pressure signal behind the paper's queuing-time
+  // growth. Per-VL dispatch counters resolve lazily (most of the 16 VLs
+  // never carry traffic). The faults.* counters feed the conservation
   // invariant: injected == switch drops + link fault drops + received.
   obs::Counter* obs_packets_ = nullptr;
   obs::Counter* obs_bytes_ = nullptr;
@@ -149,13 +152,6 @@ class OutputPort {
   std::string flap_label_;
   std::string drop_label_;
   std::string corrupt_label_;
-
- public:
-  std::uint64_t packets_corrupted() const { return packets_corrupted_; }
-  /// Packets lost to random wire drops on this port.
-  std::uint64_t packets_dropped() const { return packets_dropped_; }
-  /// Packets discarded because the link was flapped down at dispatch.
-  std::uint64_t packets_flap_dropped() const { return packets_flap_dropped_; }
 };
 
 /// Per-(port, VL) input buffer accounting at the receiving device, plus the

@@ -44,31 +44,22 @@ SwitchPartitionFilter::Decision SwitchPartitionFilter::check(
 
     case FilterMode::kDpt: {
       // Every port pays a lookup for every packet.
-      ++total_lookups_;
       obs_lookups_->inc();
       const bool ok = ps.partition_table.contains(pkey);
-      if (!ok) {
-        ++total_drops_;
-        obs_drops_->inc();
-      }
+      if (!ok) obs_drops_->inc();
       return {ok, config_.filter_lookup_cycles};
     }
 
     case FilterMode::kIf: {
       if (!ps.is_ingress) return {true, 0};
-      ++total_lookups_;
       obs_lookups_->inc();
       const bool ok = ps.partition_table.contains(pkey);
-      if (!ok) {
-        ++total_drops_;
-        obs_drops_->inc();
-      }
+      if (!ok) obs_drops_->inc();
       return {ok, config_.filter_lookup_cycles};
     }
 
     case FilterMode::kSif: {
       if (!ps.is_ingress || !ps.sif_active) return {true, 0};
-      ++total_lookups_;
       obs_lookups_->inc();
       bool drop;
       if (ps.invalid_pkeys.size() < ps.partition_table.size() ||
@@ -80,7 +71,6 @@ SwitchPartitionFilter::Decision SwitchPartitionFilter::check(
         drop = !ps.partition_table.contains(pkey);
       }
       if (drop) {
-        ++total_drops_;
         obs_drops_->inc();
         ++ps.violation_counter;
       }

@@ -69,8 +69,8 @@ class SwitchPartitionFilter {
 
   // --- statistics ------------------------------------------------------------
 
-  std::uint64_t total_lookups() const { return total_lookups_; }
-  std::uint64_t total_drops() const { return total_drops_; }
+  std::uint64_t total_lookups() const { return obs_lookups_->value(); }
+  std::uint64_t total_drops() const { return obs_drops_->value(); }
   /// Aggregate bytes of table state (Table 2's memory column, measured):
   /// partition-table entries plus Invalid_P_Key_Table entries, 2 bytes each.
   std::size_t table_memory_bytes() const;
@@ -94,11 +94,10 @@ class SwitchPartitionFilter {
   sim::Simulator& sim_;
   int switch_id_ = -1;
   std::vector<PortState> ports_;
-  std::uint64_t total_lookups_ = 0;
-  std::uint64_t total_drops_ = 0;
-  // Registry handles under "<obs_prefix>.": hit counts per enforcement
-  // scheme plus the SIF activation lifecycle (armed time accumulates on
-  // disarm, so a snapshot mid-attack shows completed windows only).
+  // Registry handles under "<obs_prefix>.", the only store of these counts:
+  // hit counts per enforcement scheme plus the SIF activation lifecycle
+  // (armed time accumulates on disarm, so a snapshot mid-attack shows
+  // completed windows only).
   obs::Counter* obs_lookups_ = nullptr;
   obs::Counter* obs_drops_ = nullptr;
   obs::Counter* obs_sif_activations_ = nullptr;

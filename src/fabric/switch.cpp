@@ -95,7 +95,6 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
 
   // A dead switch (FaultCampaign) eats everything before any processing.
   if (dead_) {
-    ++stats_.dropped_dead;
     obs_.drop_dead->inc();
     trace.instant(trace_id, obs::TraceEventType::kSwitchDrop, id_, sim_.now(),
                   "dead");
@@ -110,7 +109,6 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
   IBSEC_DCHECK(!pkt.meta.vcrc_verified || pkt.vcrc_valid());
   if (!pkt.meta.vcrc_verified) {
     if (!pkt.vcrc_valid()) {
-      ++stats_.dropped_vcrc;
       obs_.drop_vcrc->inc();
       trace.instant(trace_id, obs::TraceEventType::kSwitchDrop, id_,
                     sim_.now(), "vcrc");
@@ -128,7 +126,6 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
         ingress_limiters_[static_cast<std::size_t>(in_port)].get();
     if (limiter != nullptr &&
         !limiter->consume(pkt.wire_size(), sim_.now())) {
-      ++stats_.dropped_rate_limited;
       obs_.drop_rate_limited->inc();
       if (sim_.audit().enabled()) {
         obs::AuditEvent ev = audit_event(pkt, in_port);
@@ -167,7 +164,6 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
     InputPort& in = inputs_.at(static_cast<std::size_t>(in_port));
     const ib::VirtualLane pvl = slot->lrh.vl;
     if (!allow) {
-      ++stats_.dropped_filter;
       obs_.drop_pkey->inc();
       if (sim_.audit().enabled()) {
         obs::AuditEvent ev = audit_event(*slot, in_port);
@@ -185,7 +181,6 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
     const ib::Lid dlid = slot->lrh.dlid;
     const int out_port = dlid < routes_.size() ? routes_[dlid] : -1;
     if (out_port < 0 || out_port >= num_ports() || out_port == in_port) {
-      ++stats_.dropped_no_route;
       obs_.drop_no_route->inc();
       sim_.trace().instant(sim_.trace().enabled() ? slot->meta.trace_id : 0,
                            obs::TraceEventType::kSwitchDrop, id_, sim_.now(),
@@ -194,7 +189,6 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
       pool_.release(slot);
       return;
     }
-    ++stats_.forwarded;
     obs_.forwarded->inc();
 
     // Hold input-buffer bytes until the packet starts on the output wire;

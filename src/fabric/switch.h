@@ -57,18 +57,9 @@ class Switch final : public Device {
   int num_ports() const { return static_cast<int>(outputs_.size()); }
 
   // --- statistics -------------------------------------------------------------
-  struct Stats {
-    std::uint64_t forwarded = 0;
-    std::uint64_t dropped_filter = 0;
-    std::uint64_t dropped_no_route = 0;
-    std::uint64_t dropped_vcrc = 0;
-    std::uint64_t dropped_rate_limited = 0;
-    std::uint64_t dropped_dead = 0;
-  };
-  const Stats& stats() const { return stats_; }
-
   /// Registry handles under "switch.<id>." — the drop-cause taxonomy the
-  /// packet-conservation invariant sums over.
+  /// packet-conservation invariant sums over, and the only store of these
+  /// counts.
   struct ObsHandles {
     obs::Counter* forwarded = nullptr;
     obs::Counter* drop_pkey = nullptr;
@@ -77,9 +68,9 @@ class Switch final : public Device {
     obs::Counter* drop_rate_limited = nullptr;
     obs::Counter* drop_dead = nullptr;
   };
+  const ObsHandles& obs() const { return obs_; }
 
  private:
-  void process(ib::Packet&& pkt, int in_port);
   /// Common audit-event skeleton for a packet judged at this switch: actor =
   /// SLID, victim = DLID/destination QP, `port` = the arrival port. Callers
   /// fill `verdict`/`a0` and emit; sites guard on audit().enabled().
@@ -98,7 +89,6 @@ class Switch final : public Device {
   // only when config_.ingress_rate_limit_fraction > 0.
   std::vector<std::unique_ptr<TokenBucket>> ingress_limiters_;
   bool dead_ = false;
-  Stats stats_;
   ObsHandles obs_;
 };
 

@@ -131,17 +131,4 @@ double Fabric::max_link_utilization() {
   return max_util;
 }
 
-Switch::Stats Fabric::aggregate_switch_stats() const {
-  Switch::Stats agg;
-  for (const auto& sw : switches_) {
-    agg.forwarded += sw->stats().forwarded;
-    agg.dropped_filter += sw->stats().dropped_filter;
-    agg.dropped_no_route += sw->stats().dropped_no_route;
-    agg.dropped_vcrc += sw->stats().dropped_vcrc;
-    agg.dropped_rate_limited += sw->stats().dropped_rate_limited;
-    agg.dropped_dead += sw->stats().dropped_dead;
-  }
-  return agg;
-}
-
 }  // namespace ibsec::fabric

@@ -63,7 +63,6 @@ class Fabric {
   std::uint64_t total_filter_lookups() const;
   std::uint64_t total_filter_drops() const;
   std::size_t total_filter_memory_bytes() const;
-  Switch::Stats aggregate_switch_stats() const;
   /// Finds an OutputPort by name ("hca3.out", "sw5.out1"); null if absent.
   OutputPort* find_output_port(const std::string& name);
   /// Highest transmit-side utilization over every switch output port

@@ -75,58 +75,9 @@ std::string Snapshot::to_csv() const {
   return out.take();
 }
 
-std::optional<Snapshot> Snapshot::from_json(std::string_view json) {
-  Snapshot snap;
-  std::size_t i = 0;
-  const auto skip_ws = [&] {
-    while (i < json.size() && (json[i] == ' ' || json[i] == '\n' ||
-                               json[i] == '\t' || json[i] == '\r')) {
-      ++i;
-    }
-  };
-  skip_ws();
-  if (i >= json.size() || json[i] != '{') return std::nullopt;
-  ++i;
-  skip_ws();
-  if (i < json.size() && json[i] == '}') return snap;  // empty object
-  for (;;) {
-    skip_ws();
-    if (i >= json.size() || json[i] != '"') return std::nullopt;
-    const std::size_t key_start = ++i;
-    while (i < json.size() && json[i] != '"') ++i;
-    if (i >= json.size()) return std::nullopt;
-    std::string key(json.substr(key_start, i - key_start));
-    ++i;
-    skip_ws();
-    if (i >= json.size() || json[i] != ':') return std::nullopt;
-    ++i;
-    skip_ws();
-    const bool neg = i < json.size() && json[i] == '-';
-    if (neg) ++i;
-    if (i >= json.size() || json[i] < '0' || json[i] > '9') {
-      return std::nullopt;
-    }
-    std::int64_t value = 0;
-    while (i < json.size() && json[i] >= '0' && json[i] <= '9') {
-      value = value * 10 + (json[i] - '0');
-      ++i;
-    }
-    snap.values[std::move(key)] = neg ? -value : value;
-    skip_ws();
-    if (i >= json.size()) return std::nullopt;
-    if (json[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (json[i] == '}') return snap;
-    return std::nullopt;
-  }
-}
-
 // --- Registry ----------------------------------------------------------------
 
 Registry::Metric* Registry::resolve(const std::string& name, Kind kind) {
-  if (!enabled_) return nullptr;
   auto it = metrics_.find(name);
   if (it == metrics_.end()) {
     it = metrics_.emplace(name, std::make_unique<Metric>(kind)).first;

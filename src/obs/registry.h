@@ -18,9 +18,9 @@
 // also keeps its metrics in an append-only creation order, so a sampler
 // can pick up just the metrics born since its last tick.
 //
-// Disabling a registry (set_enabled(false) *before* components are built)
-// hands out handles to private sink metrics: recording degenerates to one
-// dead store and the snapshot stays empty.
+// The handles are the store: a component keeps the handles it resolved and
+// reads its own counts back through them, so each exported count lives in
+// exactly one place.
 //
 // Thread-safety: a Registry and every handle it hands out are deliberately
 // NOT thread-safe — no atomics, no locks, by design: metrics record on the
@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -54,6 +53,12 @@ class Counter {
  private:
   std::uint64_t value_ = 0;
 };
+
+/// The count behind a handle resolved on first use: 0 while the handle is
+/// still null, so a read never creates the counter or its snapshot entry.
+inline std::uint64_t value_or_zero(const Counter* counter) {
+  return counter != nullptr ? counter->value() : 0;
+}
 
 /// Instantaneous level (queue depth, table size); tracks its high-water mark.
 class Gauge {
@@ -115,8 +120,6 @@ struct Snapshot {
   std::string to_json() const;
   /// "name,value" rows with a header line, keys sorted.
   std::string to_csv() const;
-  /// Parses the exact format to_json emits; nullopt on malformed input.
-  static std::optional<Snapshot> from_json(std::string_view json);
 };
 
 /// Does `name` match `pattern` under the Snapshot wildcard rules? Exposed
@@ -128,11 +131,6 @@ class Registry {
   Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
-
-  /// Disable *before* components resolve handles: subsequent resolutions
-  /// return sink metrics that record nowhere and never export.
-  void set_enabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
 
   /// Resolve-or-create by name. Resolving an existing name with the same
   /// kind returns the same object; with a *different* kind it returns a
@@ -193,7 +191,7 @@ class Registry {
     const Entry* next = nullptr;  ///< the next metric created
   };
 
-  /// nullptr when the name exists with a different kind (or disabled).
+  /// nullptr when the name exists with a different kind.
   Metric* resolve(const std::string& name, Kind kind);
   /// Calls fn(Column&&) for each of the entry's exported columns, in
   /// suffix order — the one copy of the suffix table.
@@ -201,7 +199,6 @@ class Registry {
   static void for_each_column(const Entry& entry, Fn&& fn);
   static Column kind_collisions_column();
 
-  bool enabled_ = true;
   std::map<std::string, std::unique_ptr<Metric>> metrics_;
   // Creation order, threaded through the metrics themselves: append-only,
   // and no allocation beyond the metric's own.
@@ -209,8 +206,7 @@ class Registry {
   Metric* last_created_ = nullptr;
   std::uint64_t kind_collisions_ = 0;
 
-  // Sinks absorb records from disabled registries and kind collisions;
-  // they are never exported.
+  // Sinks absorb records from kind collisions; they are never exported.
   Counter sink_counter_;
   Gauge sink_gauge_;
   TimeAccumulator sink_time_;

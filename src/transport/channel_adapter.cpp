@@ -338,7 +338,6 @@ void ChannelAdapter::on_packet(ib::Packet&& pkt) {
   // the ones a switch already checked.
   IBSEC_DCHECK(!pkt.meta.vcrc_verified || pkt.vcrc_valid());
   if (!pkt.meta.vcrc_verified && !pkt.vcrc_valid()) {
-    ++counters_.vcrc_errors;
     retire_.vcrc->inc();
     trace_retire(pkt, "vcrc");
     return;
@@ -387,7 +386,6 @@ bool ChannelAdapter::handle_port_reconfigure(const Mad& mad) {
 void ChannelAdapter::handle_data_packet(ib::Packet&& pkt) {
   // 1. Partition enforcement at the end node (always present in IBA).
   if (!partition_table_.contains(pkt.bth.pkey)) {
-    ++counters_.pkey_violations;
     if (sm_node_ >= 0) {
       Mad trap;
       trap.type = MadType::kTrapPKeyViolation;
@@ -428,7 +426,6 @@ void ChannelAdapter::handle_data_packet(ib::Packet&& pkt) {
       case AuthVerdict::kAccept:
         break;
       case AuthVerdict::kNotAuthenticated:
-        ++counters_.auth_unauthenticated;
         retire_.auth_missing->inc();
         audit_mac_fail("unauthenticated");
         trace_retire(pkt, "auth_missing");
@@ -436,7 +433,6 @@ void ChannelAdapter::handle_data_packet(ib::Packet&& pkt) {
       case AuthVerdict::kRejectBadTag:
       case AuthVerdict::kRejectNoKey:
       case AuthVerdict::kRejectReplay:
-        ++counters_.auth_rejected;
         retire_.auth_rejected->inc();
         audit_mac_fail(verdict == AuthVerdict::kRejectBadTag  ? "bad_tag"
                        : verdict == AuthVerdict::kRejectNoKey ? "no_key"
@@ -445,7 +441,6 @@ void ChannelAdapter::handle_data_packet(ib::Packet&& pkt) {
         return;
     }
   } else if (pkt.bth.resv8a == 0 && !pkt.icrc_valid()) {
-    ++counters_.icrc_errors;
     retire_.icrc_error->inc();
     trace_retire(pkt, "icrc_error");
     return;
@@ -467,7 +462,6 @@ void ChannelAdapter::handle_data_packet(ib::Packet&& pkt) {
         qp->rc_rx.nak_armed = false;
         rc_qp = qp;
       } else if (psn_lt(pkt.bth.psn, qp->expected_psn)) {
-        ++counters_.rc_duplicates;
         retire_.rc_duplicate->inc();
         trace_retire(pkt, "rc_duplicate");
         if (pkt.bth.opcode == ib::OpCode::kRcRdmaReadRequest) {
@@ -533,8 +527,6 @@ void ChannelAdapter::handle_data_packet(ib::Packet&& pkt) {
   }
   if (qp->type == ServiceType::kUnreliableDatagram) {
     if (!pkt.deth || pkt.deth->qkey != qp->qkey) {
-      ++counters_.qkey_violations;
-      ++qp->counters.dropped_bad_qkey;
       qkey_drop_counter(*qp).inc();
       retire_.qkey_violation->inc();
       if (fabric_.simulator().audit().enabled()) {
@@ -552,7 +544,6 @@ void ChannelAdapter::handle_data_packet(ib::Packet&& pkt) {
     track_rc_psn(pkt, *qp);
   }
   ++qp->counters.received;
-  ++counters_.delivered;
   retire_.delivered->inc();
   trace_retire(pkt, nullptr);
   if (probe_) probe_(pkt);
@@ -645,7 +636,6 @@ void ChannelAdapter::serve_rdma_read(const ib::Packet& pkt, bool duplicate) {
   if (qp == nullptr || qp->type != ServiceType::kReliableConnection ||
       !qp->connected || !pkt.reth) {
     if (!duplicate) {
-      ++counters_.rdma_rejected;
       retire_.rdma_rejected->inc();
       trace_retire(pkt, "rdma_rejected");
     }
@@ -662,7 +652,6 @@ void ChannelAdapter::serve_rdma_read(const ib::Packet& pkt, bool duplicate) {
       pkt.reth->rkey, pkt.reth->va, pkt.reth->dma_len, /*is_write=*/false);
   if (!region) {
     if (!duplicate) {
-      ++counters_.rdma_read_naks;
       retire_.rdma_nak->inc();
       trace_retire(pkt, "rdma_nak");
     }
@@ -670,7 +659,6 @@ void ChannelAdapter::serve_rdma_read(const ib::Packet& pkt, bool duplicate) {
   } else {
     if (!duplicate) {
       ++counters_.rdma_reads_served;
-      ++counters_.delivered;
       retire_.delivered->inc();
       trace_retire(pkt, nullptr);
       if (probe_) probe_(pkt);
@@ -776,7 +764,6 @@ void ChannelAdapter::rc_retransmit(QueuePair& qp, ib::Psn from_psn) {
   sim::Simulator& sim = fabric_.simulator();
   for (auto& [psn, entry] : qp.rc_tx.window) {
     if (psn_lt(psn, from_psn)) continue;
-    ++counters_.rc_retransmits;
     rc_obs_.retransmits->inc();
     if (sim.trace().enabled() && entry.pkt.meta.trace_id != 0) {
       sim.trace().instant(entry.pkt.meta.trace_id,
@@ -789,7 +776,6 @@ void ChannelAdapter::rc_retransmit(QueuePair& qp, ib::Psn from_psn) {
 }
 
 void ChannelAdapter::rc_fail(QueuePair& qp) {
-  ++counters_.rc_retry_exhausted;
   rc_obs_.retry_exhausted->inc();
   qp.rc_error = true;
   const ib::Psn oldest = qp.rc_tx.window.empty()
@@ -812,7 +798,6 @@ void ChannelAdapter::rc_fail(QueuePair& qp) {
 
 IBSEC_HOT void ChannelAdapter::handle_rc_ack(const ib::Packet& pkt) {
   if (!rc_config_.enabled) {
-    ++counters_.acks_received;
     retire_.ack->inc();
     return;
   }
@@ -830,7 +815,6 @@ IBSEC_HOT void ChannelAdapter::handle_rc_ack(const ib::Packet& pkt) {
   QueuePair* qp = find_qp(pkt.bth.dest_qp);
   if (qp == nullptr || qp->type != ServiceType::kReliableConnection ||
       !qp->connected || !pkt.aeth) {
-    ++counters_.rc_bad_control;
     retire_.rc_bad_control->inc();
     audit_rc("rejected", -1);
     return;
@@ -841,9 +825,9 @@ IBSEC_HOT void ChannelAdapter::handle_rc_ack(const ib::Packet& pkt) {
   // snapshot entry.
   const auto note_spoof = [&](const ib::Packet& p, std::size_t cleared) {
     if (!p.meta.is_attack || cleared == 0) return;
-    ++counters_.rc_spoofed_accepted;
-    if (rc_spoofed_obs_ == nullptr) rc_spoofed_obs_ = &rc_spoofed_counter();
-    rc_spoofed_obs_->inc();
+    obs::Counter*& spoofed = rc_obs_.spoofed_control_accepted;
+    if (spoofed == nullptr) spoofed = &rc_spoofed_counter();
+    spoofed->inc();
     audit_rc("accepted", static_cast<std::int64_t>(cleared));
   };
 
@@ -851,31 +835,26 @@ IBSEC_HOT void ChannelAdapter::handle_rc_ack(const ib::Packet& pkt) {
   if (pkt.aeth->syndrome == kAethAck) {
     if (qp->rc_tx.window.empty()) {
       // Nothing outstanding: a stale duplicate of an earlier ACK.
-      ++counters_.acks_received;
       retire_.ack->inc();
       return;
     }
     if (rc_config_.validate_control && !psn_lt(psn, qp->next_psn)) {
       // Acknowledges PSNs never sent — forged or corrupted; never lets an
       // attacker clear a window they didn't earn.
-      ++counters_.rc_bad_control;
       retire_.rc_bad_control->inc();
       audit_rc("rejected", static_cast<std::int64_t>(psn));
       return;
     }
-    ++counters_.acks_received;
     retire_.ack->inc();
     note_spoof(pkt, rc_ack_through(*qp, psn, /*inclusive=*/true));
     return;
   }
   if (pkt.aeth->syndrome == kAethNakPsnSequence) {
     if (rc_config_.validate_control && !psn_le(psn, qp->next_psn)) {
-      ++counters_.rc_bad_control;
       retire_.rc_bad_control->inc();
       audit_rc("rejected", static_cast<std::int64_t>(psn));
       return;
     }
-    ++counters_.naks_received;
     retire_.nak->inc();
     // AETH.msn names the receiver's expected PSN: everything below it is
     // implicitly acknowledged, everything at/after it goes out again now.
@@ -888,7 +867,6 @@ IBSEC_HOT void ChannelAdapter::handle_rc_ack(const ib::Packet& pkt) {
     }
     return;
   }
-  ++counters_.rc_bad_control;
   retire_.rc_bad_control->inc();
   audit_rc("rejected", static_cast<std::int64_t>(psn));
 }
@@ -1000,9 +978,13 @@ void ChannelAdapter::send_rc_nak(QueuePair& qp) {
   nak.bth.psn = qp.expected_psn;
   nak.meta.src_qp = qp.qpn;
   nak.aeth = ib::Aeth{kAethNakPsnSequence, qp.expected_psn};
-  ++counters_.naks_sent;
   rc_obs_.naks->inc();
   sign_and_send(std::move(nak));
+}
+
+std::uint64_t ChannelAdapter::qkey_drops(ib::Qpn qpn) const {
+  const auto it = qkey_drop_obs_.find(qpn);
+  return it == qkey_drop_obs_.end() ? 0 : it->second->value();
 }
 
 obs::Counter& ChannelAdapter::qkey_drop_counter(const QueuePair& qp) {
@@ -1018,7 +1000,6 @@ obs::Counter& ChannelAdapter::qkey_drop_counter(const QueuePair& qp) {
 
 void ChannelAdapter::apply_rdma_write(const ib::Packet& pkt) {
   if (!pkt.reth) {
-    ++counters_.rdma_rejected;
     retire_.rdma_rejected->inc();
     trace_retire(pkt, "rdma_rejected");
     return;
@@ -1027,7 +1008,6 @@ void ChannelAdapter::apply_rdma_write(const ib::Packet& pkt) {
       pkt.reth->rkey, pkt.reth->va,
       static_cast<std::uint32_t>(pkt.payload.size()), /*is_write=*/true);
   if (!region) {
-    ++counters_.rdma_rejected;
     retire_.rdma_rejected->inc();
     trace_retire(pkt, "rdma_rejected");
     return;
@@ -1038,7 +1018,6 @@ void ChannelAdapter::apply_rdma_write(const ib::Packet& pkt) {
   std::copy(pkt.payload.begin(), pkt.payload.end(),
             buffer.begin() + static_cast<long>(offset));
   ++counters_.rdma_writes_applied;
-  ++counters_.delivered;
   retire_.delivered->inc();
   trace_retire(pkt, nullptr);
   if (probe_) probe_(pkt);

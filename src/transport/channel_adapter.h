@@ -193,34 +193,65 @@ class ChannelAdapter {
   void set_delivery_probe(DeliveryProbe probe) { probe_ = std::move(probe); }
 
   // --- counters ---------------------------------------------------------------
-  struct Counters {
-    std::uint64_t delivered = 0;
-    std::uint64_t pkey_violations = 0;
-    std::uint64_t qkey_violations = 0;
-    std::uint64_t auth_rejected = 0;       // bad tag / no key / replay
-    std::uint64_t auth_unauthenticated = 0;// policy demanded a MAC, none present
-    std::uint64_t icrc_errors = 0;
-    std::uint64_t vcrc_errors = 0;         // last-hop corruption
-    std::uint64_t traps_sent = 0;
-    std::uint64_t mads_received = 0;
-    std::uint64_t rdma_writes_applied = 0;
-    std::uint64_t rdma_rejected = 0;
-    std::uint64_t rdma_reads_served = 0;
-    std::uint64_t rdma_read_naks = 0;
-    std::uint64_t acks_sent = 0;
-    std::uint64_t acks_received = 0;
-    std::uint64_t naks_sent = 0;
-    std::uint64_t naks_received = 0;
-    std::uint64_t rc_out_of_order = 0;
-    std::uint64_t rc_duplicates = 0;
-    std::uint64_t rc_retransmits = 0;
-    std::uint64_t rc_retry_exhausted = 0;
-    std::uint64_t rc_bad_control = 0;
+  /// Registry counters under "ca.<node>.retired.<cause>", the only store of
+  /// these counts: every packet the HCA hands up is retired by exactly one of
+  /// them, so per-node conservation (hca.received == Σ retired.*) holds by
+  /// construction. "delivered" covers SENDs reaching a QP, applied RDMA
+  /// WRITEs, and served RDMA READ requests.
+  struct RetireObs {
+    obs::Counter* vcrc = nullptr;
+    obs::Counter* mad = nullptr;
+    obs::Counter* pkey_violation = nullptr;
+    obs::Counter* auth_missing = nullptr;   ///< MAC required, none present
+    obs::Counter* auth_rejected = nullptr; ///< bad tag / no key / replay
+    obs::Counter* icrc_error = nullptr;
+    obs::Counter* rdma_rejected = nullptr;
+    obs::Counter* rdma_nak = nullptr;
+    obs::Counter* rdma_read_response = nullptr;
+    obs::Counter* ack = nullptr;
+    obs::Counter* nak = nullptr;
+    obs::Counter* no_dest_qp = nullptr;
+    obs::Counter* qkey_violation = nullptr;
+    obs::Counter* delivered = nullptr;
+    obs::Counter* rc_duplicate = nullptr;
+    obs::Counter* rc_out_of_order = nullptr;
+    obs::Counter* rc_bad_control = nullptr;
+  };
+  const RetireObs& retire_obs() const { return retire_; }
+  /// Counters under "ca.<node>.rc.": the reliability protocol's own event
+  /// stream (retransmits, acks/naks sent, retry exhaustions).
+  struct RcObs {
+    obs::Counter* retransmits = nullptr;
+    obs::Counter* acks = nullptr;
+    obs::Counter* naks = nullptr;
+    obs::Counter* retry_exhausted = nullptr;
     /// Attack-tagged RC control packets that passed validation AND cleared
     /// send-window entries they never earned — the rc-spoof campaign's
     /// success metric. Stays 0 with validate_control on unless a spoofed
-    /// PSN lands inside the live window (~window/2^24 per attempt).
-    std::uint64_t rc_spoofed_accepted = 0;
+    /// PSN lands inside the live window (~window/2^24 per attempt). Created
+    /// on first use ("ca.<n>.rc.spoofed_control_accepted"), so attack-free
+    /// runs never grow a snapshot entry; read it via rc_spoofed_accepted().
+    obs::Counter* spoofed_control_accepted = nullptr;
+  };
+  const RcObs& rc_obs() const { return rc_obs_; }
+  std::uint64_t rc_spoofed_accepted() const {
+    return obs::value_or_zero(rc_obs_.spoofed_control_accepted);
+  }
+  /// UD packets dropped at `qpn` for a bad Q_Key
+  /// ("ca.<n>.qp.<qpn>.dropped_bad_qkey", created on the first drop).
+  std::uint64_t qkey_drops(ib::Qpn qpn) const;
+
+  /// Counts the registry does not export.
+  struct Counters {
+    std::uint64_t traps_sent = 0;
+    /// MADs from the fabric and node-local ones alike.
+    std::uint64_t mads_received = 0;
+    std::uint64_t rdma_writes_applied = 0;
+    std::uint64_t rdma_reads_served = 0;
+    /// Protocol ACKs plus the ack_req replies sent with the protocol off.
+    std::uint64_t acks_sent = 0;
+    /// Includes the PSN gaps counted (not dropped) with the protocol off.
+    std::uint64_t rc_out_of_order = 0;
     std::uint64_t messages_delivered = 0;
     std::uint64_t reassembly_errors = 0;
     std::uint64_t reconfigs_applied = 0;
@@ -322,47 +353,10 @@ class ChannelAdapter {
   Counters counters_;
   std::uint64_t next_message_id_ = 1;
 
-  // Retire counters under "ca.<node>.retired.<cause>": every packet the HCA
-  // hands up is retired by exactly one of these, so per-node conservation
-  // (hca.received == Σ retired.*) holds by construction. "delivered" covers
-  // SENDs reaching a QP, applied RDMA WRITEs, and served RDMA READ requests.
-  struct RetireObs {
-    obs::Counter* vcrc = nullptr;
-    obs::Counter* mad = nullptr;
-    obs::Counter* pkey_violation = nullptr;
-    obs::Counter* auth_missing = nullptr;
-    obs::Counter* auth_rejected = nullptr;
-    obs::Counter* icrc_error = nullptr;
-    obs::Counter* rdma_rejected = nullptr;
-    obs::Counter* rdma_nak = nullptr;
-    obs::Counter* rdma_read_response = nullptr;
-    obs::Counter* ack = nullptr;
-    obs::Counter* nak = nullptr;
-    obs::Counter* no_dest_qp = nullptr;
-    obs::Counter* qkey_violation = nullptr;
-    obs::Counter* delivered = nullptr;
-    obs::Counter* rc_duplicate = nullptr;
-    obs::Counter* rc_out_of_order = nullptr;
-    obs::Counter* rc_bad_control = nullptr;
-  };
   RetireObs retire_;
-  /// Counters under "ca.<node>.rc.": the reliability protocol's own event
-  /// stream (retransmits, acks/naks sent, retry exhaustions).
-  struct RcObs {
-    obs::Counter* retransmits = nullptr;
-    obs::Counter* acks = nullptr;
-    obs::Counter* naks = nullptr;
-    obs::Counter* retry_exhausted = nullptr;
-  };
   RcObs rc_obs_;
-  /// Lazily-created per-QP Q_Key-violation counters (satellite of the
-  /// invariant suite: QueuePair::dropped_bad_qkey used to be invisible to
-  /// --metrics).
+  /// Lazily-created per-QP Q_Key-violation counters.
   std::map<ib::Qpn, obs::Counter*> qkey_drop_obs_;
-  /// Lazily-resolved "ca.<n>.rc.spoofed_control_accepted": only runs that
-  /// actually see an accepted spoofed control packet grow a snapshot entry,
-  /// keeping golden export hashes of attack-free runs untouched.
-  obs::Counter* rc_spoofed_obs_ = nullptr;
 };
 
 }  // namespace ibsec::transport

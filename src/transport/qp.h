@@ -49,7 +49,6 @@ struct QueuePair {
   struct Counters {
     std::uint64_t sent = 0;
     std::uint64_t received = 0;
-    std::uint64_t dropped_bad_qkey = 0;
   } counters;
 
   ib::Psn take_psn() {

@@ -127,7 +127,6 @@ bool SubnetManager::pkey_legal_for(int node, ib::PKeyValue pkey) const {
 
 bool SubnetManager::handle_mad(const Mad& mad) {
   if (mad.type != MadType::kTrapPKeyViolation) return false;
-  ++traps_received_;
   obs_traps_->inc();
   const int offender = fabric_.node_of_lid(static_cast<ib::Lid>(mad.value));
   if (offender < 0 || offender >= fabric_.node_count()) return true;
@@ -157,7 +156,6 @@ bool SubnetManager::handle_mad(const Mad& mad) {
   if (pkey_legal_for(offender, mad.pkey)) {
     auto& reg = fabric_.simulator().obs();
     if (trap_validation_) {
-      ++traps_rejected_;
       if (obs_traps_rejected_ == nullptr) {
         obs_traps_rejected_ = &reg.counter("sm.traps_rejected");
       }
@@ -168,7 +166,6 @@ bool SubnetManager::handle_mad(const Mad& mad) {
     if (fabric_.config().filter_mode == fabric::FilterMode::kSif) {
       // Only an actual SIF install poisons a port; other filter modes
       // ignore traps entirely.
-      ++poisoned_installs_;
       if (obs_poisoned_ == nullptr) {
         obs_poisoned_ = &reg.counter("sm.sif_poisoned_installs");
       }
@@ -184,7 +181,6 @@ void SubnetManager::arm_sif(int offender_node, ib::PKeyValue pkey) {
   if (fabric_.config().filter_mode != fabric::FilterMode::kSif) return;
   fabric::Switch& sw = fabric_.ingress_switch_of(offender_node);
   const int port = fabric_.ingress_port_of(offender_node);
-  ++sif_installs_;
   obs_sif_installs_->inc();
   obs_program_delay_->add(fabric_.config().sm_program_delay);
   {

@@ -69,13 +69,17 @@ class SubnetManager {
   bool trap_validation() const { return trap_validation_; }
 
   // --- statistics ---------------------------------------------------------------
-  std::uint64_t traps_received() const { return traps_received_; }
-  std::uint64_t sif_installs() const { return sif_installs_; }
+  std::uint64_t traps_received() const { return obs_traps_->value(); }
+  std::uint64_t sif_installs() const { return obs_sif_installs_->value(); }
   /// Traps rejected by validation (forged or self-poisoning).
-  std::uint64_t traps_rejected() const { return traps_rejected_; }
+  std::uint64_t traps_rejected() const {
+    return obs::value_or_zero(obs_traps_rejected_);
+  }
   /// Poisoning traps that validation was NOT armed against and that went on
   /// to arm SIF against a legitimate key — the trap-forge success metric.
-  std::uint64_t poisoned_installs() const { return poisoned_installs_; }
+  std::uint64_t poisoned_installs() const {
+    return obs::value_or_zero(obs_poisoned_);
+  }
 
  private:
   bool handle_mad(const Mad& mad);
@@ -92,12 +96,9 @@ class SubnetManager {
   std::map<ib::PKeyValue, std::vector<int>> partitions_;
   std::map<int, ib::MKeyValue> m_keys_;
   bool trap_validation_ = true;
-  std::uint64_t traps_received_ = 0;
-  std::uint64_t sif_installs_ = 0;
-  std::uint64_t traps_rejected_ = 0;
-  std::uint64_t poisoned_installs_ = 0;
-  // "sm.*" registry handles; program_delay accumulates the trap-to-armed
-  // SMP latency the SIF reaction time depends on.
+  // "sm.*" registry handles, the only store of the SM's counts;
+  // program_delay accumulates the trap-to-armed SMP latency the SIF
+  // reaction time depends on.
   obs::Counter* obs_traps_ = nullptr;
   obs::Counter* obs_sif_installs_ = nullptr;
   obs::Counter* obs_partitions_ = nullptr;

@@ -396,17 +396,15 @@ class RcSpoofCampaign final : public AttackCampaign {
     if (attacker_ == victim_) attacker_ = ctx_.sm_node == 0 ? 1 : 0;
     interval_ = spec_.interval > 0 ? spec_.interval
                                    : SimTime{1'000'000};  // 1 us
-    baseline_spoofed_ = ctx_.cas[static_cast<std::size_t>(victim_)]
-                            ->counters()
-                            .rc_spoofed_accepted;
+    baseline_spoofed_ =
+        ctx_.cas[static_cast<std::size_t>(victim_)]->rc_spoofed_accepted();
     simulator().at(at, [this] { tick(); });
   }
 
   void finish() override {
-    record_success(ctx_.cas[static_cast<std::size_t>(victim_)]
-                       ->counters()
-                       .rc_spoofed_accepted -
-                   baseline_spoofed_);
+    record_success(
+        ctx_.cas[static_cast<std::size_t>(victim_)]->rc_spoofed_accepted() -
+        baseline_spoofed_);
   }
 
  private:

@@ -26,6 +26,11 @@ Scenario::Scenario(ScenarioConfig config) : config_(std::move(config)) {
 Scenario::~Scenario() = default;
 
 void Scenario::build() {
+  // A go-back-N retransmission reuses its PSN, which the replay window
+  // rejects as a replay, so every resend would be lost.
+  IBSEC_CHECK(!(config_.rc.enabled && config_.replay_protection))
+      << "rc.enabled and replay_protection cannot be combined: the replay "
+         "window rejects every RC retransmission";
   Rng rng(config_.seed);
 
   fabric_ = std::make_unique<fabric::Fabric>(config_.fabric);
@@ -389,20 +394,10 @@ ScenarioResult Scenario::run() {
   for (auto& attacker : attackers_) {
     result.attack_packets += attacker->packets_injected();
   }
-  result.switch_filter_drops = fabric_->total_filter_drops();
-  result.switch_filter_lookups = fabric_->total_filter_lookups();
   result.switch_table_memory = fabric_->total_filter_memory_bytes();
-  const auto sw_stats = fabric_->aggregate_switch_stats();
-  result.forwarded = sw_stats.forwarded;
-  result.rate_limited = sw_stats.dropped_rate_limited;
   for (auto& ca_ptr : cas_) {
-    result.hca_pkey_violations += ca_ptr->counters().pkey_violations;
     result.traps_sent += ca_ptr->counters().traps_sent;
-    result.delivered += ca_ptr->counters().delivered;
-    result.auth_rejected += ca_ptr->counters().auth_rejected;
   }
-  result.sm_traps_received = sm_->traps_received();
-  result.sif_installs = sm_->sif_installs();
 
   // Export the workload-level aggregates as gauges so one snapshot carries
   // the whole experiment, then freeze the registry into the result.
@@ -419,12 +414,22 @@ ScenarioResult Scenario::run() {
   export_class("workload.realtime.", result.realtime);
   export_class("workload.best_effort.", result.best_effort);
   result.obs = reg.snapshot();
-  result.attack_attempts = static_cast<std::uint64_t>(
-      result.obs.sum_matching("attacker.*.attempts"));
-  result.attack_successes = static_cast<std::uint64_t>(
-      result.obs.sum_matching("attacker.*.success"));
-  result.qkey_drops = static_cast<std::uint64_t>(
-      result.obs.sum_matching("ca.*.dropped_bad_qkey"));
+  // The scalar totals read the snapshot, the one store of every count.
+  const auto total = [&result](std::string_view pattern) {
+    return static_cast<std::uint64_t>(result.obs.sum_matching(pattern));
+  };
+  result.switch_filter_drops = total("switch.*.filter.drops");
+  result.switch_filter_lookups = total("switch.*.filter.lookups");
+  result.forwarded = total("switch.*.forwarded");
+  result.rate_limited = total("switch.*.drop.rate_limited");
+  result.hca_pkey_violations = total("ca.*.retired.pkey_violation");
+  result.delivered = total("ca.*.retired.delivered");
+  result.auth_rejected = total("ca.*.retired.auth_rejected");
+  result.sm_traps_received = total("sm.traps_received");
+  result.sif_installs = total("sm.sif_installs");
+  result.attack_attempts = total("attacker.*.attempts");
+  result.attack_successes = total("attacker.*.success");
+  result.qkey_drops = total("ca.*.dropped_bad_qkey");
   if (timeseries_) {
     // Closing bucket, unless the last scheduled tick already landed exactly
     // at end-of-run (run_until executes events at t == end).

@@ -74,8 +74,8 @@ struct ScenarioConfig {
   WorkloadSpec workload;
 
   /// RC reliability protocol knobs, applied to every CA (off by default —
-  /// see transport/rc_reliability.h). Note: retransmissions replay PSNs, so
-  /// combining rc.enabled with replay_protection rejects every resend.
+  /// see transport/rc_reliability.h). Cannot be combined with
+  /// replay_protection: a Scenario with both fails an IBSEC_CHECK.
   transport::RcConfig rc;
   /// RC message streams between consecutive same-partition honest nodes
   /// (both directions), sized to exercise segmentation.
@@ -118,21 +118,25 @@ struct ScenarioResult {
   ClassMetrics best_effort;
 
   std::uint64_t attack_packets = 0;
+  /// Fabric-wide registry totals, summed over `obs` below.
   std::uint64_t switch_filter_drops = 0;
   std::uint64_t switch_filter_lookups = 0;
-  std::size_t switch_table_memory = 0;
   std::uint64_t hca_pkey_violations = 0;
-  std::uint64_t traps_sent = 0;
   std::uint64_t sm_traps_received = 0;
   std::uint64_t sif_installs = 0;
   std::uint64_t delivered = 0;
   std::uint64_t auth_rejected = 0;
   std::uint64_t forwarded = 0;
   std::uint64_t rate_limited = 0;
+  /// Not exported to the registry: the filters' table state and the CAs'
+  /// trap sends.
+  std::size_t switch_table_memory = 0;
+  std::uint64_t traps_sent = 0;
 
   /// Campaign aggregates (Σ attacker.*.attempts / attacker.*.success) and
-  /// the fabric-wide per-QP Q_Key-drop total, lifted out of the snapshot so
-  /// attack outcomes read directly off the result.
+  /// the fabric-wide per-QP Q_Key-drop total. Like the registry totals
+  /// above, they are sums over `obs`, lifted out so outcomes read directly
+  /// off the result.
   std::uint64_t attack_attempts = 0;
   std::uint64_t attack_successes = 0;
   std::uint64_t qkey_drops = 0;

@@ -719,9 +719,9 @@ TEST_F(RcAdversarialLoad, SpoofStormNeverAdvancesWindowOrCorruptsDelivery) {
   // retry exhaustion from a flushed-then-silent window. (Spoofs arriving
   // after the transfer completes hit the benign stale-duplicate path, so
   // bad_control sees the in-flight majority, not all 500.)
-  EXPECT_EQ(cas[0]->counters().rc_spoofed_accepted, 0u);
-  EXPECT_EQ(cas[0]->counters().rc_retry_exhausted, 0u);
-  EXPECT_GE(cas[0]->counters().rc_bad_control, 200u);
+  EXPECT_EQ(cas[0]->rc_spoofed_accepted(), 0u);
+  EXPECT_EQ(cas[0]->rc_obs().retry_exhausted->value(), 0u);
+  EXPECT_GE(cas[0]->retire_obs().rc_bad_control->value(), 200u);
 }
 
 TEST_F(RcAdversarialLoad, SpoofStormCorruptsWindowsWithoutValidation) {
@@ -732,7 +732,7 @@ TEST_F(RcAdversarialLoad, SpoofStormCorruptsWindowsWithoutValidation) {
 
   // The same storm against an unvalidated handler spoof-completes windows —
   // the regression this corpus exists to catch.
-  EXPECT_GE(cas[0]->counters().rc_spoofed_accepted, 1u);
+  EXPECT_GE(cas[0]->rc_spoofed_accepted(), 1u);
 }
 
 TEST_F(RcAdversarialLoad, SpoofStormPlusLinkFaultsStillBitExact) {
@@ -742,12 +742,12 @@ TEST_F(RcAdversarialLoad, SpoofStormPlusLinkFaultsStillBitExact) {
   fabric->simulator().run();
 
   // Real retransmits happened underneath the storm...
-  EXPECT_GT(cas[0]->counters().rc_retransmits, 0u);
+  EXPECT_GT(cas[0]->rc_obs().retransmits->value(), 0u);
   // ...and delivery is still bit-exact and exactly-once.
   EXPECT_EQ(received, sent);
   EXPECT_TRUE(cas[0]->find_qp(src_qpn)->rc_tx.window.empty());
-  EXPECT_EQ(cas[0]->counters().rc_spoofed_accepted, 0u);
-  EXPECT_EQ(cas[0]->counters().rc_retry_exhausted, 0u);
+  EXPECT_EQ(cas[0]->rc_spoofed_accepted(), 0u);
+  EXPECT_EQ(cas[0]->rc_obs().retry_exhausted->value(), 0u);
 }
 
 }  // namespace

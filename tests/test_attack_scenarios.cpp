@@ -147,7 +147,7 @@ TEST_F(AttackFixture, PKeyExposureBreaksMembership) {
   run();
   // Vulnerability: the packet is accepted although node 2 is no member.
   EXPECT_EQ(delivered, 1);
-  EXPECT_EQ(cas[kVictim]->counters().pkey_violations, 0u);
+  EXPECT_EQ(cas[kVictim]->retire_obs().pkey_violation->value(), 0u);
 }
 
 TEST_F(AttackFixture, AuthenticationClosesPKeyHole) {
@@ -162,7 +162,7 @@ TEST_F(AttackFixture, AuthenticationClosesPKeyHole) {
       attacker_packet(victim_qp.qpn, victim_qp.qkey, "outsider data"));
   run();
   EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(cas[kVictim]->counters().auth_unauthenticated, 1u);
+  EXPECT_EQ(cas[kVictim]->retire_obs().auth_missing->value(), 1u);
   // Legitimate member traffic still flows.
   auto& peer_qp = cas[kPeer]->create_qp(ServiceType::kUnreliableDatagram,
                                         kPkey);
@@ -189,7 +189,7 @@ TEST_F(AttackFixture, QKeyExposureDisruptsQp) {
       attacker_packet(victim_qp.qpn, victim_qp.qkey ^ 1, "bad qkey"));
   run();
   EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(cas[kVictim]->counters().qkey_violations, 1u);
+  EXPECT_EQ(cas[kVictim]->retire_obs().qkey_violation->value(), 1u);
 
   // ...but both plaintext keys together walk right in.
   cas[kAttacker]->inject_raw(
@@ -315,7 +315,7 @@ TEST_F(AttackFixture, CapturedPacketReplayAndDefence) {
   replay.meta = PacketMeta{};
   cas[kAttacker]->inject_raw(ib::Packet(replay));
   run();
-  EXPECT_EQ(cas[kVictim]->counters().delivered, 2u);
+  EXPECT_EQ(cas[kVictim]->retire_obs().delivered->value(), 2u);
 
   // Arm the PSN replay window: the next replay is dropped.
   engines[kVictim]->set_replay_protection(true);

@@ -86,7 +86,7 @@ TEST(DefenseInDepth, AllMechanismsCoexist) {
   });
 
   const auto before_forge =
-      scenario.ca(victim).counters().auth_unauthenticated;
+      scenario.ca(victim).retire_obs().auth_missing->value();
   const auto result = scenario.run();
 
   // Legitimate traffic flowed, authenticated, with sane delay.
@@ -100,7 +100,7 @@ TEST(DefenseInDepth, AllMechanismsCoexist) {
 
   // Prong 2: the forged packet was rejected as unauthenticated, and no
   // legitimate packet was harmed by that rejection.
-  EXPECT_EQ(scenario.ca(victim).counters().auth_unauthenticated,
+  EXPECT_EQ(scenario.ca(victim).retire_obs().auth_missing->value(),
             before_forge + 1);
 
   // No legitimate traffic was falsely rejected by MAC or replay checks.

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "fabric/topology.h"
+#include "switch_totals.h"
 
 namespace ibsec::fabric {
 namespace {
@@ -89,7 +90,7 @@ TEST(Fabric, XyRoutingReachesEveryPair) {
   }
   fabric.simulator().run();
   EXPECT_EQ(received, sent);
-  EXPECT_EQ(fabric.aggregate_switch_stats().dropped_no_route, 0u);
+  EXPECT_EQ(switch_total(fabric, &Switch::ObsHandles::drop_no_route), 0u);
 }
 
 TEST(Fabric, HopCountMatchesManhattanDistance) {
@@ -210,7 +211,7 @@ TEST(Fabric, VcrcCorruptionDroppedAtFirstSwitch) {
   fabric.hca(0).send(std::move(pkt));
   fabric.simulator().run();
   EXPECT_EQ(received, 0);
-  EXPECT_EQ(fabric.aggregate_switch_stats().dropped_vcrc, 1u);
+  EXPECT_EQ(switch_total(fabric, &Switch::ObsHandles::drop_vcrc), 1u);
 }
 
 TEST(Fabric, ReinjectedPacketIsRecheckedAtFirstSwitch) {
@@ -239,8 +240,8 @@ TEST(Fabric, ReinjectedPacketIsRecheckedAtFirstSwitch) {
   fabric.simulator().run();
 
   EXPECT_EQ(received_at_node0, 0);
-  EXPECT_EQ(fabric.ingress_switch_of(1).stats().dropped_vcrc, 1u);
-  EXPECT_EQ(fabric.aggregate_switch_stats().dropped_vcrc, 1u);
+  EXPECT_EQ(fabric.ingress_switch_of(1).obs().drop_vcrc->value(), 1u);
+  EXPECT_EQ(switch_total(fabric, &Switch::ObsHandles::drop_vcrc), 1u);
 }
 
 // --- partition filtering at switches ----------------------------------------

@@ -5,6 +5,7 @@
 
 #include "common/rng.h"
 #include "workload/scenario.h"
+#include "switch_totals.h"
 
 namespace ibsec::fabric {
 namespace {
@@ -32,7 +33,7 @@ TEST(FaultInjection, PerfectLinksByDefault) {
   }
   fabric.simulator().run();
   EXPECT_EQ(received, 50);
-  EXPECT_EQ(fabric.aggregate_switch_stats().dropped_vcrc, 0u);
+  EXPECT_EQ(switch_total(fabric, &Switch::ObsHandles::drop_vcrc), 0u);
 }
 
 TEST(FaultInjection, CorruptionCaughtAndAccounted) {
@@ -69,16 +70,17 @@ TEST(FaultInjection, CorruptionCaughtAndAccounted) {
   }
   fabric.simulator().run();
 
-  const auto stats = fabric.aggregate_switch_stats();
+  const std::uint64_t dropped_vcrc =
+      switch_total(fabric, &Switch::ObsHandles::drop_vcrc);
   // Three lossy hops at 20% each: roughly half the packets arrive clean.
   EXPECT_LT(received_valid, kSent * 3 / 4);
   EXPECT_GT(received_valid, kSent / 4);
-  EXPECT_GT(stats.dropped_vcrc, 0u);
+  EXPECT_GT(dropped_vcrc, 0u);
   EXPECT_GT(received_corrupt, 0);  // last-hop corruption is the CA's to drop
   // Conservation: every packet was delivered clean, dropped at a switch, or
   // arrived corrupted on the last hop.
   EXPECT_EQ(static_cast<std::uint64_t>(received_valid + received_corrupt) +
-                stats.dropped_vcrc,
+                dropped_vcrc,
             static_cast<std::uint64_t>(kSent));
   // And the injectors' own counters agree with what was caught.
   std::uint64_t corrupted_total = fabric.hca(0).out().packets_corrupted();
@@ -88,7 +90,7 @@ TEST(FaultInjection, CorruptionCaughtAndAccounted) {
     }
   }
   EXPECT_EQ(corrupted_total,
-            stats.dropped_vcrc + static_cast<std::uint64_t>(received_corrupt));
+            dropped_vcrc + static_cast<std::uint64_t>(received_corrupt));
 }
 
 TEST(FaultInjection, EndNodeCatchesLastHopCorruption) {
@@ -105,7 +107,7 @@ TEST(FaultInjection, EndNodeCatchesLastHopCorruption) {
   const auto r = scenario.run();
   std::uint64_t vcrc_errors = 0;
   for (int node = 0; node < scenario.fabric().node_count(); ++node) {
-    vcrc_errors += scenario.ca(node).counters().vcrc_errors;
+    vcrc_errors += scenario.ca(node).retire_obs().vcrc->value();
   }
   EXPECT_GT(vcrc_errors, 0u);   // last-hop corruption reached the CA check
   EXPECT_GT(r.delivered, 100u); // plenty of clean traffic still flowed

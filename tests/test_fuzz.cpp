@@ -177,8 +177,8 @@ TEST_F(RcControlFuzz, ForgedAckWithFuturePsnCannotSpoofCompleteWindow) {
 
   EXPECT_EQ(delivered, 1);
   EXPECT_TRUE(cas[0]->find_qp(src_qpn)->rc_tx.window.empty());
-  EXPECT_GE(cas[0]->counters().rc_bad_control, 1u);
-  EXPECT_EQ(cas[0]->counters().rc_retry_exhausted, 0u);
+  EXPECT_GE(cas[0]->retire_obs().rc_bad_control->value(), 1u);
+  EXPECT_EQ(cas[0]->rc_obs().retry_exhausted->value(), 0u);
 }
 
 TEST_F(RcControlFuzz, AckVariantsNeverCrashAndAreCounted) {
@@ -213,8 +213,8 @@ TEST_F(RcControlFuzz, AckVariantsNeverCrashAndAreCounted) {
 
   fabric->simulator().run();
   // All five were dropped and counted; nothing delivered, nothing broke.
-  EXPECT_EQ(cas[0]->counters().rc_bad_control, 5u);
-  EXPECT_EQ(cas[0]->counters().delivered, 0u);
+  EXPECT_EQ(cas[0]->retire_obs().rc_bad_control->value(), 5u);
+  EXPECT_EQ(cas[0]->retire_obs().delivered->value(), 0u);
   EXPECT_FALSE(cas[0]->find_qp(src_qpn)->rc_error);
 }
 

@@ -208,9 +208,8 @@ TEST(Conservation, DeadSwitch) {
 }
 
 TEST(Conservation, QkeyDropSurfacedPerQp) {
-  // The per-QP dropped_bad_qkey counter (bugfix: QueuePair::dropped_bad_qkey
-  // used to be invisible to the registry) must agree with the CA-level
-  // retire cause and the struct counter.
+  // The per-QP dropped_bad_qkey counter must agree with the CA-level
+  // retire cause and with what the CA's per-QP accessor reads back.
   ScenarioConfig cfg = base_config();
   cfg.enable_realtime = false;
   cfg.enable_best_effort = false;
@@ -255,8 +254,7 @@ TEST(Conservation, QkeyDropSurfacedPerQp) {
   EXPECT_EQ(snap.at(per_qp), 5);
   EXPECT_EQ(snap.sum_matching("ca.*.qp.*.dropped_bad_qkey"),
             snap.sum_matching("ca.*.retired.qkey_violation"));
-  EXPECT_EQ(static_cast<std::int64_t>(
-                scenario.ca(dst).find_qp(dst_qpn)->counters.dropped_bad_qkey),
+  EXPECT_EQ(static_cast<std::int64_t>(scenario.ca(dst).qkey_drops(dst_qpn)),
             snap.at(per_qp));
   expect_conservation(snap, scenario.fabric().node_count());
 }

@@ -1,0 +1,74 @@
+// Ledger workloads as goldens: the four end-to-end scenarios the cost
+// ledger (bench/ledger) measures, each built exactly as the ledger builds
+// it, with the export digest `ledger --quick --seed 2005` prints. A change
+// that keeps every other golden but moves one of these changed what the
+// benchmark simulates, so its timings would no longer compare with the
+// parent's.
+#include <gtest/gtest.h>
+
+#include <ostream>
+#include <string>
+
+#include "common/hex.h"
+#include "crypto/sha256.h"
+#include "workloads.h"
+
+namespace {
+
+using ibsec::workload::Scenario;
+using ibsec::workload::ScenarioResult;
+
+/// The ledger's export digest (bench/ledger/src/probe.cpp): SHA-256 over
+/// every export, each followed by a 0x1e separator.
+std::string export_digest(const ScenarioResult& r) {
+  ibsec::crypto::Sha256 h;
+  const auto feed = [&h](const std::string& part) {
+    h.update({reinterpret_cast<const std::uint8_t*>(part.data()), part.size()});
+    h.update({reinterpret_cast<const std::uint8_t*>("\x1e"), 1});
+  };
+  feed(r.obs.to_json());
+  feed(r.trace_json);
+  feed(r.trace_breakdown_csv);
+  feed(r.timeseries_csv);
+  feed(r.audit_jsonl);
+  return ibsec::to_hex(h.finalize());
+}
+
+struct Golden {
+  const char* workload;
+  const char* digest;
+};
+
+// Names the parameter in ctest ids, instead of its pointer bytes.
+void PrintTo(const Golden& golden, std::ostream* os) { *os << golden.workload; }
+
+class LedgerGolden : public ::testing::TestWithParam<Golden> {};
+
+TEST_P(LedgerGolden, QuickSeed2005ExportDigest) {
+  const Golden& golden = GetParam();
+  const auto w = ledger::make_workload(golden.workload, 2005, /*quick=*/true);
+  ASSERT_TRUE(w.has_value()) << golden.workload;
+  // As the ledger's child: construct, drain bring-up, then run.
+  Scenario scenario(w->config);
+  scenario.fabric().simulator().run();
+  const ScenarioResult r = scenario.run();
+  EXPECT_EQ(export_digest(r), golden.digest)
+      << golden.workload << " exports drifted";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, LedgerGolden,
+    ::testing::Values(
+        Golden{"mesh_dos",
+               "57f717e4d268a18a26a8b1c05d0e266bf67aeb914b30ce308c6a188bebadc3e1"},
+        Golden{"fattree_mpi",
+               "ffcda3a076725ef99b80879df96635a1a74b60f64ac0cd1d72eb8fe0b3652c81"},
+        Golden{"tenant2048",
+               "68a9585abde35fea75a4b3511d9cea91bbd5f93ef7d263ef593e15392983ac8e"},
+        Golden{"campaign_obs",
+               "d6ec7f6976accdd03383508ad30000549abeddc98008169e5079e65a83304784"}),
+    [](const ::testing::TestParamInfo<Golden>& info) {
+      return std::string(info.param.workload);
+    });
+
+}  // namespace

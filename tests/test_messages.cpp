@@ -56,7 +56,7 @@ TEST_F(MessageFixture, SmallMessageSinglePacket) {
                                    ib::PacketMeta::TrafficClass::kBestEffort));
   run();
   EXPECT_EQ(received, msg);
-  EXPECT_EQ(cas[1]->counters().delivered, 1u);  // one packet
+  EXPECT_EQ(cas[1]->retire_obs().delivered->value(), 1u);  // one packet
   EXPECT_EQ(cas[1]->counters().messages_delivered, 1u);
 }
 
@@ -78,7 +78,7 @@ TEST_P(MessageSizeSweep, SegmentsAndReassembles) {
   EXPECT_EQ(messages, 1);
   EXPECT_EQ(received, msg);
   const std::size_t expected_packets = (GetParam() + 1023) / 1024;
-  EXPECT_EQ(cas[1]->counters().delivered, expected_packets);
+  EXPECT_EQ(cas[1]->retire_obs().delivered->value(), expected_packets);
   EXPECT_EQ(cas[1]->counters().reassembly_errors, 0u);
   EXPECT_EQ(cas[1]->counters().rc_out_of_order, 0u);
 }
@@ -131,7 +131,7 @@ TEST_F(MessageFixture, EverySegmentIsIndividuallyAuthenticated) {
   EXPECT_EQ(received, msg);
   EXPECT_EQ(e0.stats().signed_packets, 4u);   // 4 segments, 4 tags
   EXPECT_EQ(e1.stats().verified_ok, 4u);
-  EXPECT_EQ(cas[1]->counters().auth_rejected, 0u);
+  EXPECT_EQ(cas[1]->retire_obs().auth_rejected->value(), 0u);
 }
 
 TEST_F(MessageFixture, MiddleWithoutFirstCountsError) {

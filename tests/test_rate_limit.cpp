@@ -5,6 +5,7 @@
 
 #include "fabric/rate_limiter.h"
 #include "workload/scenario.h"
+#include "switch_totals.h"
 
 namespace ibsec::fabric {
 namespace {
@@ -71,9 +72,10 @@ TEST(IngressRateLimit, CapsASingleNodeFlood) {
     fabric.hca(0).send(std::move(pkt));
   }
   fabric.simulator().run();
-  const auto stats = fabric.aggregate_switch_stats();
-  EXPECT_GT(stats.dropped_rate_limited, 10u);
-  EXPECT_EQ(static_cast<std::uint64_t>(received) + stats.dropped_rate_limited,
+  const std::uint64_t dropped_rate_limited =
+      switch_total(fabric, &Switch::ObsHandles::drop_rate_limited);
+  EXPECT_GT(dropped_rate_limited, 10u);
+  EXPECT_EQ(static_cast<std::uint64_t>(received) + dropped_rate_limited,
             40u);
 }
 
@@ -123,7 +125,7 @@ TEST(IngressRateLimit, DisabledByDefault) {
   }
   fabric.simulator().run();
   EXPECT_EQ(received, 20);
-  EXPECT_EQ(fabric.aggregate_switch_stats().dropped_rate_limited, 0u);
+  EXPECT_EQ(switch_total(fabric, &Switch::ObsHandles::drop_rate_limited), 0u);
 }
 
 TEST(ValidPkeyFlood, DefeatsSifButNotRateLimit) {

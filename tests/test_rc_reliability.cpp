@@ -171,7 +171,7 @@ TEST_F(RcFixture, RetryExhaustionSurfacesErrorNotSilence) {
   const QueuePair* qp = cas[0]->find_qp(src_qpn);
   EXPECT_TRUE(qp->rc_error);
   EXPECT_TRUE(qp->rc_tx.window.empty());
-  EXPECT_EQ(cas[0]->counters().rc_retry_exhausted, 1u);
+  EXPECT_EQ(cas[0]->rc_obs().retry_exhausted->value(), 1u);
   const auto snap = fabric->simulator().obs().snapshot();
   EXPECT_EQ(snap.at("ca.0.rc.retry_exhausted"), 1);
   // The dead QP rejects further work instead of queueing it forever.
@@ -195,9 +195,9 @@ TEST_F(RcFixture, BackoffEscalatesTimeouts) {
     expected_floor += rc_backoff_timeout(rc, round);
   }
   EXPECT_GE(fabric->simulator().now(), expected_floor);
-  EXPECT_EQ(cas[0]->counters().rc_retry_exhausted, 1u);
+  EXPECT_EQ(cas[0]->rc_obs().retry_exhausted->value(), 1u);
   // Exactly max_retries retransmission rounds ran before giving up.
-  EXPECT_EQ(cas[0]->counters().rc_retransmits,
+  EXPECT_EQ(cas[0]->rc_obs().retransmits->value(),
             static_cast<std::uint64_t>(rc.max_retries));
 }
 
@@ -229,7 +229,7 @@ TEST_F(RcFixture, RdmaWriteReliableUnderLoss) {
   EXPECT_EQ(*mem, expect);
   EXPECT_FALSE(cas[0]->find_qp(src_qpn)->rc_error);
   EXPECT_TRUE(cas[0]->find_qp(src_qpn)->rc_tx.window.empty());
-  EXPECT_GT(cas[0]->counters().rc_retransmits, 0u);
+  EXPECT_GT(cas[0]->rc_obs().retransmits->value(), 0u);
 }
 
 TEST_F(RcFixture, RdmaReadReliableUnderLoss) {
@@ -283,7 +283,7 @@ TEST_F(RcFixture, AcksAreCoalesced) {
   EXPECT_GE(cas[1]->counters().acks_sent, 3u);
   EXPECT_LE(cas[1]->counters().acks_sent, 6u);
   EXPECT_TRUE(cas[0]->find_qp(src_qpn)->rc_tx.window.empty());
-  EXPECT_EQ(cas[0]->counters().rc_retransmits, 0u);
+  EXPECT_EQ(cas[0]->rc_obs().retransmits->value(), 0u);
 }
 
 TEST_F(RcFixture, WindowBackpressureQueuesAndDrains) {
@@ -337,8 +337,8 @@ TEST_F(RcFixture, OutOfOrderArrivalNaksOncePerGap) {
   EXPECT_EQ(cas[0]->counters().rc_out_of_order, 3u);
   // One NAK armed the gap; the repeats didn't re-NAK (go-back-N would
   // otherwise amplify every burst).
-  EXPECT_EQ(cas[0]->counters().naks_sent, 1u);
-  EXPECT_EQ(cas[1]->counters().naks_received, 1u);
+  EXPECT_EQ(cas[0]->rc_obs().naks->value(), 1u);
+  EXPECT_EQ(cas[1]->retire_obs().nak->value(), 1u);
 }
 
 TEST_F(RcFixture, FlapScheduleDropsThenRecovers) {
@@ -385,7 +385,7 @@ TEST_F(RcFixture, DisabledKeepsLegacySemantics) {
   EXPECT_EQ(delivered, 5);
   EXPECT_TRUE(cas[0]->find_qp(src_qpn)->rc_tx.window.empty());
   EXPECT_EQ(cas[1]->counters().acks_sent, 0u);
-  EXPECT_EQ(cas[0]->counters().rc_retransmits, 0u);
+  EXPECT_EQ(cas[0]->rc_obs().retransmits->value(), 0u);
 }
 
 }  // namespace

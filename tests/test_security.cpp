@@ -309,8 +309,8 @@ TEST_F(AuthFixture, UnauthenticatedPacketRejectedUnderPolicy) {
   pkt.finalize();
   cas[2]->inject_raw(std::move(pkt));
   run();
-  EXPECT_EQ(cas[1]->counters().delivered, 0u);
-  EXPECT_EQ(cas[1]->counters().auth_unauthenticated, 1u);
+  EXPECT_EQ(cas[1]->retire_obs().delivered->value(), 0u);
+  EXPECT_EQ(cas[1]->retire_obs().auth_missing->value(), 1u);
 }
 
 TEST_F(AuthFixture, ForgedTagRejected) {
@@ -332,8 +332,8 @@ TEST_F(AuthFixture, ForgedTagRejected) {
   pkt.refresh_vcrc();
   cas[2]->inject_raw(std::move(pkt));
   run();
-  EXPECT_EQ(cas[1]->counters().delivered, 0u);
-  EXPECT_EQ(cas[1]->counters().auth_rejected, 1u);
+  EXPECT_EQ(cas[1]->retire_obs().delivered->value(), 0u);
+  EXPECT_EQ(cas[1]->retire_obs().auth_rejected->value(), 1u);
   EXPECT_EQ(engines[1]->stats().bad_tag, 1u);
 }
 
@@ -406,7 +406,7 @@ TEST_F(AuthFixture, AlgorithmDowngradeFailsClosed) {
   pkt.refresh_vcrc();
   cas[2]->inject_raw(std::move(pkt));
   run();
-  EXPECT_EQ(cas[1]->counters().auth_rejected, 1u);
+  EXPECT_EQ(cas[1]->retire_obs().auth_rejected->value(), 1u);
 }
 
 TEST_F(AuthFixture, ReplayRejectedWithWindowAcceptedWithout) {
@@ -433,7 +433,7 @@ TEST_F(AuthFixture, ReplayRejectedWithWindowAcceptedWithout) {
   replay.meta.dst_node = 1;
   cas[2]->inject_raw(ib::Packet(replay));
   run();
-  EXPECT_EQ(cas[1]->counters().delivered, 2u);
+  EXPECT_EQ(cas[1]->retire_obs().delivered->value(), 2u);
 
   // With the PSN window, the same replay is rejected.
   engines[1]->set_replay_protection(true);
@@ -444,7 +444,7 @@ TEST_F(AuthFixture, ReplayRejectedWithWindowAcceptedWithout) {
   cas[2]->inject_raw(ib::Packet(replay));
   run();
   EXPECT_EQ(engines[1]->stats().replays, 1u);
-  EXPECT_EQ(cas[1]->counters().delivered, 3u);
+  EXPECT_EQ(cas[1]->retire_obs().delivered->value(), 3u);
 }
 
 TEST_F(AuthFixture, KeyRotationGraceWindow) {
@@ -476,14 +476,14 @@ TEST_F(AuthFixture, KeyRotationGraceWindow) {
   cas[0]->inject_raw(std::move(replayed));
   run();
   EXPECT_EQ(engines[1]->stats().previous_epoch_accepted, 1u);
-  EXPECT_EQ(cas[1]->counters().delivered, 2u);
+  EXPECT_EQ(cas[1]->retire_obs().delivered->value(), 2u);
 
   // New traffic signs under epoch 1 and verifies against the current key.
   cas[0]->post_send(src.qpn, ascii_bytes("epoch one"),
                     PacketMeta::TrafficClass::kBestEffort, 1, dst.qpn,
                     dst.qkey);
   run();
-  EXPECT_EQ(cas[1]->counters().delivered, 3u);
+  EXPECT_EQ(cas[1]->retire_obs().delivered->value(), 3u);
 
   // A second rotation expires epoch 0 entirely.
   sm->rotate_partition_secret(kPkey, crypto::AuthAlgorithm::kUmac32);
@@ -493,7 +493,7 @@ TEST_F(AuthFixture, KeyRotationGraceWindow) {
   stale.meta = PacketMeta{};
   cas[0]->inject_raw(std::move(stale));
   run();
-  EXPECT_EQ(cas[1]->counters().delivered, 3u);  // rejected now
+  EXPECT_EQ(cas[1]->retire_obs().delivered->value(), 3u);  // rejected now
   EXPECT_GE(engines[1]->stats().bad_tag, 1u);
 }
 
@@ -557,7 +557,7 @@ TEST_F(AuthFixture, NoKeyVerdictWhenSecretMissing) {
   cas[0]->inject_raw(std::move(pkt));
   run();
   EXPECT_EQ(engines[1]->stats().no_key, 1u);
-  EXPECT_EQ(cas[1]->counters().auth_rejected, 1u);
+  EXPECT_EQ(cas[1]->retire_obs().auth_rejected->value(), 1u);
 }
 
 }  // namespace

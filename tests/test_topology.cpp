@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "workload/scenario.h"
+#include "switch_totals.h"
 
 namespace ibsec::fabric {
 namespace {
@@ -54,8 +55,8 @@ TEST_P(MeshSizeSweep, AllPairsReachable) {
   int total = 0;
   for (int r : received) total += r;
   EXPECT_EQ(total, sent);
-  EXPECT_EQ(fabric.aggregate_switch_stats().dropped_no_route, 0u);
-  EXPECT_EQ(fabric.aggregate_switch_stats().dropped_vcrc, 0u);
+  EXPECT_EQ(switch_total(fabric, &Switch::ObsHandles::drop_no_route), 0u);
+  EXPECT_EQ(switch_total(fabric, &Switch::ObsHandles::drop_vcrc), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, MeshSizeSweep,
@@ -80,7 +81,7 @@ TEST(Topology, SelfAddressedPacketsAreNotHairpinned) {
   fabric.hca(0).send(probe_packet(fabric, 0, 0));
   fabric.simulator().run();
   EXPECT_EQ(received, 0);
-  EXPECT_EQ(fabric.aggregate_switch_stats().dropped_no_route, 1u);
+  EXPECT_EQ(switch_total(fabric, &Switch::ObsHandles::drop_no_route), 1u);
 }
 
 TEST(Topology, DlidPastTheRouteTableIsNoRoute) {
@@ -105,8 +106,8 @@ TEST(Topology, DlidPastTheRouteTableIsNoRoute) {
   }
   EXPECT_NO_THROW(fabric.simulator().run());
   EXPECT_EQ(received, 0);
-  EXPECT_EQ(fabric.ingress_switch_of(0).stats().dropped_no_route, 2u);
-  EXPECT_EQ(fabric.aggregate_switch_stats().dropped_no_route, 2u);
+  EXPECT_EQ(fabric.ingress_switch_of(0).obs().drop_no_route->value(), 2u);
+  EXPECT_EQ(switch_total(fabric, &Switch::ObsHandles::drop_no_route), 2u);
 }
 
 TEST(Topology, ScenarioRunsOnLargeMesh) {

@@ -17,6 +17,7 @@
 
 #include "fabric/topology_builder.h"
 #include "workload/scenario.h"
+#include "switch_totals.h"
 
 namespace ibsec::fabric {
 namespace {
@@ -138,7 +139,7 @@ void check_built_fabric(const FabricConfig& cfg) {
   int total = 0;
   for (int r : received) total += r;
   EXPECT_EQ(total, sent);
-  EXPECT_EQ(fabric.aggregate_switch_stats().dropped_no_route, 0u);
+  EXPECT_EQ(switch_total(fabric, &Switch::ObsHandles::drop_no_route), 0u);
 }
 
 // ---------------------------------------------------------------- fat-tree

@@ -83,7 +83,7 @@ TEST_F(TransportFixture, UdSendDeliversWithCorrectQkey) {
                                 dst_qp.qpn, dst_qp.qkey));
   run();
   EXPECT_EQ(delivered, 1);
-  EXPECT_EQ(cas[1]->counters().delivered, 1u);
+  EXPECT_EQ(cas[1]->retire_obs().delivered->value(), 1u);
 }
 
 TEST_F(TransportFixture, UdWrongQkeyDropped) {
@@ -97,7 +97,7 @@ TEST_F(TransportFixture, UdWrongQkeyDropped) {
                     dst_qp.qkey ^ 1);
   run();
   EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(cas[1]->counters().qkey_violations, 1u);
+  EXPECT_EQ(cas[1]->retire_obs().qkey_violation->value(), 1u);
 }
 
 TEST_F(TransportFixture, RcSendUsesBoundPeer) {
@@ -168,7 +168,7 @@ TEST_F(TransportFixture, PKeyViolationCountedAndTrapped) {
   pkt.finalize();
   cas[2]->inject_raw(std::move(pkt));
   run();
-  EXPECT_EQ(cas[1]->counters().pkey_violations, 1u);
+  EXPECT_EQ(cas[1]->retire_obs().pkey_violation->value(), 1u);
   EXPECT_EQ(cas[1]->counters().traps_sent, 1u);
   EXPECT_EQ(sm->traps_received(), 1u);
 }
@@ -212,7 +212,7 @@ TEST_F(TransportFixture, RdmaWrongRkeyRejected) {
   cas[0]->post_rdma_write(a.qpn, 0, 0x2222, std::vector<std::uint8_t>(8, 9),
                           PacketMeta::TrafficClass::kBestEffort);
   run();
-  EXPECT_EQ(cas[1]->counters().rdma_rejected, 1u);
+  EXPECT_EQ(cas[1]->retire_obs().rdma_rejected->value(), 1u);
   EXPECT_EQ(cas[1]->counters().rdma_writes_applied, 0u);
 }
 
@@ -232,7 +232,7 @@ TEST_F(TransportFixture, RdmaOutOfBoundsRejected) {
                           std::vector<std::uint8_t>(16, 1),
                           PacketMeta::TrafficClass::kBestEffort);
   run();
-  EXPECT_EQ(cas[1]->counters().rdma_rejected, 1u);
+  EXPECT_EQ(cas[1]->retire_obs().rdma_rejected->value(), 1u);
 }
 
 TEST_F(TransportFixture, RdmaWriteToReadOnlyRegionRejected) {
@@ -249,7 +249,7 @@ TEST_F(TransportFixture, RdmaWriteToReadOnlyRegionRejected) {
   cas[0]->post_rdma_write(a.qpn, 0, 0x4444, std::vector<std::uint8_t>(8, 1),
                           PacketMeta::TrafficClass::kBestEffort);
   run();
-  EXPECT_EQ(cas[1]->counters().rdma_rejected, 1u);
+  EXPECT_EQ(cas[1]->retire_obs().rdma_rejected->value(), 1u);
 }
 
 TEST_F(TransportFixture, RdmaReadRoundTrip) {
@@ -311,7 +311,7 @@ TEST_F(TransportFixture, RdmaReadOfWriteOnlyRegionNaks) {
   run();
   EXPECT_TRUE(completed);
   EXPECT_FALSE(read_ok);
-  EXPECT_EQ(cas[2]->counters().rdma_read_naks, 1u);
+  EXPECT_EQ(cas[2]->retire_obs().rdma_nak->value(), 1u);
 }
 
 TEST_F(TransportFixture, RcAckRequestedAndReturned) {
@@ -331,7 +331,7 @@ TEST_F(TransportFixture, RcAckRequestedAndReturned) {
                           /*ack_req=*/true);
   run();
   EXPECT_EQ(cas[1]->counters().acks_sent, 1u);
-  EXPECT_EQ(cas[0]->counters().acks_received, 1u);
+  EXPECT_EQ(cas[0]->retire_obs().ack->value(), 1u);
 }
 
 TEST_F(TransportFixture, RcInOrderPsnTracking) {
@@ -346,7 +346,7 @@ TEST_F(TransportFixture, RcInOrderPsnTracking) {
   run();
   // Lossless in-order fabric: no out-of-order deliveries.
   EXPECT_EQ(cas[3]->counters().rc_out_of_order, 0u);
-  EXPECT_EQ(cas[3]->counters().delivered, 10u);
+  EXPECT_EQ(cas[3]->retire_obs().delivered->value(), 10u);
 }
 
 TEST_F(TransportFixture, DuplicateRkeyRegistrationFails) {

@@ -272,6 +272,17 @@ TEST(Scenario, AuthenticatedRunDeliversTraffic) {
   EXPECT_EQ(r.auth_rejected, 0u);  // all legitimate traffic has valid tags
 }
 
+TEST(ScenarioDeathTest, RejectsRcReliabilityWithReplayProtection) {
+  // RC retransmissions reuse their PSNs, which the replay window rejects,
+  // so the combination is refused at construction instead of losing every
+  // resend.
+  ScenarioConfig cfg = base_config();
+  cfg.rc.enabled = true;
+  cfg.replay_protection = true;
+  EXPECT_DEATH({ Scenario s(cfg); },
+               "rc.enabled and replay_protection cannot be combined");
+}
+
 TEST(Scenario, QpLevelKeyExchangeAddsBoundedOverhead) {
   ScenarioConfig cfg = base_config();
   cfg.duration = 1 * kMillisecond;
