@@ -15,7 +15,6 @@
 
 #include "bench/bench_util.h"
 #include "workload/scenario.h"
-#include "workload/trace.h"
 
 using namespace ibsec;
 
@@ -61,14 +60,16 @@ void usage(const char* prog) {
       "  --trace[=FILE]       write a Chrome trace_event JSON (open in\n"
       "                       Perfetto); FILE defaults to trace.json\n"
       "  --trace-sample N     trace every Nth packet (default 1 = every packet)\n"
-      "  --breakdown FILE     write the per-packet latency-breakdown CSV\n"
+      "  --breakdown FILE     write the per-packet latency-breakdown CSV, one\n"
+      "                       row per delivered traced packet\n"
       "  --timeseries[=FILE]  write the fixed-dt counter/gauge time-series\n"
       "                       CSV; FILE defaults to timeseries.csv\n"
       "  --timeseries-dt NS   time-series bucket width in ns (default 10000)\n"
-      "  --audit[=FILE]       write the security audit event log (JSONL, see\n"
-      "                       docs/audit_schema.md); FILE defaults to\n"
-      "                       audit.jsonl\n"
-      "  --packet-csv FILE    write the per-packet delivery CSV\n"
+      "  --audit[=FILE]       write the security audit event log (JSONL), one\n"
+      "                       line per enforcement decision; types and\n"
+      "                       verdicts come from the decision table in\n"
+      "                       obs/decision.h (docs/audit_schema.md); FILE\n"
+      "                       defaults to audit.jsonl\n"
       "  --metrics FILE       dump the metrics snapshot (.json = JSON, else CSV)\n"
       "\n"
       "  --trace/--timeseries/--audit accept their output path uniformly as\n"
@@ -93,7 +94,6 @@ bool write_text_file(const std::string& path, const std::string& body) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string packet_csv_path;
   std::string chrome_trace_path;
   std::string breakdown_path;
   std::string timeseries_path;
@@ -250,8 +250,6 @@ int main(int argc, char** argv) {
       cfg.audit.enabled = true;
     } else if (arg == "--timeseries-dt" && parse_double(next(), value)) {
       cfg.timeseries_dt = static_cast<SimTime>(value * 1000.0);  // ns -> ps
-    } else if (arg == "--packet-csv") {
-      packet_csv_path = next();
     } else if (arg == "--metrics") {
       metrics_path = next();
     } else {
@@ -302,16 +300,6 @@ int main(int argc, char** argv) {
   cfg.trace.sample_seed = cfg.seed;
 
   workload::Scenario scenario(cfg);
-  workload::PacketTraceRecorder trace;
-  if (!packet_csv_path.empty()) {
-    for (int node = 0; node < scenario.fabric().node_count(); ++node) {
-      scenario.ca(node).set_delivery_probe(
-          [&scenario, &trace, node](const ib::Packet& pkt) {
-            scenario.probe_delivery(node, pkt);
-            trace.record(pkt);
-          });
-    }
-  }
   const auto r = scenario.run();
   if (!metrics_path.empty()) {
     if (bench::write_metrics_file(r.obs, metrics_path)) {
@@ -320,15 +308,6 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr, "metrics: failed to write %s\n",
                    metrics_path.c_str());
-    }
-  }
-  if (!packet_csv_path.empty()) {
-    if (trace.write_csv_file(packet_csv_path)) {
-      std::printf("packet-csv: wrote %zu rows to %s\n", trace.rows().size(),
-                  packet_csv_path.c_str());
-    } else {
-      std::fprintf(stderr, "packet-csv: failed to write %s\n",
-                   packet_csv_path.c_str());
     }
   }
   const auto write_out = [](const char* what, const std::string& path,

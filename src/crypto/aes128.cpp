@@ -20,14 +20,9 @@ constexpr std::uint8_t gmul(std::uint8_t a, std::uint8_t b) {
   return result;
 }
 
-struct Sboxes {
-  std::array<std::uint8_t, 256> fwd{};
-  std::array<std::uint8_t, 256> inv{};
-};
-
 // Builds the S-box from the multiplicative inverse + affine transform, per
 // FIPS 197 section 5.1.1, at compile time.
-constexpr Sboxes make_sboxes() {
+constexpr std::array<std::uint8_t, 256> make_sbox() {
   // Multiplicative inverses via brute force (256*256 products; constexpr-ok).
   std::array<std::uint8_t, 256> inv_table{};
   for (int a = 1; a < 256; ++a) {
@@ -39,7 +34,7 @@ constexpr Sboxes make_sboxes() {
       }
     }
   }
-  Sboxes s{};
+  std::array<std::uint8_t, 256> sbox{};
   for (int i = 0; i < 256; ++i) {
     const std::uint8_t x = inv_table[static_cast<std::size_t>(i)];
     std::uint8_t y = 0;
@@ -49,23 +44,22 @@ constexpr Sboxes make_sboxes() {
                     ((x >> ((bit + 7) % 8)) & 1) ^ ((0x63 >> bit) & 1);
       y = static_cast<std::uint8_t>(y | (b << bit));
     }
-    s.fwd[static_cast<std::size_t>(i)] = y;
-    s.inv[y] = static_cast<std::uint8_t>(i);
+    sbox[static_cast<std::size_t>(i)] = y;
   }
-  return s;
+  return sbox;
 }
 
-const Sboxes kSbox = make_sboxes();
+const std::array<std::uint8_t, 256> kSbox = make_sbox();
 
 constexpr std::array<std::uint8_t, 11> kRcon = {0x00, 0x01, 0x02, 0x04,
                                                 0x08, 0x10, 0x20, 0x40,
                                                 0x80, 0x1B, 0x36};
 
 std::uint32_t sub_word(std::uint32_t w) {
-  return static_cast<std::uint32_t>(kSbox.fwd[(w >> 24) & 0xFF]) << 24 |
-         static_cast<std::uint32_t>(kSbox.fwd[(w >> 16) & 0xFF]) << 16 |
-         static_cast<std::uint32_t>(kSbox.fwd[(w >> 8) & 0xFF]) << 8 |
-         static_cast<std::uint32_t>(kSbox.fwd[w & 0xFF]);
+  return static_cast<std::uint32_t>(kSbox[(w >> 24) & 0xFF]) << 24 |
+         static_cast<std::uint32_t>(kSbox[(w >> 16) & 0xFF]) << 16 |
+         static_cast<std::uint32_t>(kSbox[(w >> 8) & 0xFF]) << 8 |
+         static_cast<std::uint32_t>(kSbox[w & 0xFF]);
 }
 
 std::uint32_t rot_word(std::uint32_t w) { return (w << 8) | (w >> 24); }
@@ -80,11 +74,7 @@ void add_round_key(std::uint8_t state[16], const std::uint32_t* rk) {
 }
 
 void sub_bytes(std::uint8_t state[16]) {
-  for (int i = 0; i < 16; ++i) state[i] = kSbox.fwd[state[i]];
-}
-
-void inv_sub_bytes(std::uint8_t state[16]) {
-  for (int i = 0; i < 16; ++i) state[i] = kSbox.inv[state[i]];
+  for (int i = 0; i < 16; ++i) state[i] = kSbox[state[i]];
 }
 
 // State layout here: state[4*c + r] = byte in row r, column c (i.e. the
@@ -99,16 +89,6 @@ void shift_rows(std::uint8_t state[16]) {
   std::memcpy(state, tmp, 16);
 }
 
-void inv_shift_rows(std::uint8_t state[16]) {
-  std::uint8_t tmp[16];
-  for (int c = 0; c < 4; ++c) {
-    for (int r = 0; r < 4; ++r) {
-      tmp[4 * ((c + r) % 4) + r] = state[4 * c + r];
-    }
-  }
-  std::memcpy(state, tmp, 16);
-}
-
 void mix_columns(std::uint8_t state[16]) {
   for (int c = 0; c < 4; ++c) {
     std::uint8_t* col = state + 4 * c;
@@ -117,21 +97,6 @@ void mix_columns(std::uint8_t state[16]) {
     col[1] = static_cast<std::uint8_t>(a0 ^ xtime(a1) ^ xtime(a2) ^ a2 ^ a3);
     col[2] = static_cast<std::uint8_t>(a0 ^ a1 ^ xtime(a2) ^ xtime(a3) ^ a3);
     col[3] = static_cast<std::uint8_t>(xtime(a0) ^ a0 ^ a1 ^ a2 ^ xtime(a3));
-  }
-}
-
-void inv_mix_columns(std::uint8_t state[16]) {
-  for (int c = 0; c < 4; ++c) {
-    std::uint8_t* col = state + 4 * c;
-    const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-    col[0] = static_cast<std::uint8_t>(gmul(a0, 0x0E) ^ gmul(a1, 0x0B) ^
-                                       gmul(a2, 0x0D) ^ gmul(a3, 0x09));
-    col[1] = static_cast<std::uint8_t>(gmul(a0, 0x09) ^ gmul(a1, 0x0E) ^
-                                       gmul(a2, 0x0B) ^ gmul(a3, 0x0D));
-    col[2] = static_cast<std::uint8_t>(gmul(a0, 0x0D) ^ gmul(a1, 0x09) ^
-                                       gmul(a2, 0x0E) ^ gmul(a3, 0x0B));
-    col[3] = static_cast<std::uint8_t>(gmul(a0, 0x0B) ^ gmul(a1, 0x0D) ^
-                                       gmul(a2, 0x09) ^ gmul(a3, 0x0E));
   }
 }
 
@@ -170,22 +135,6 @@ void Aes128::encrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
   sub_bytes(state);
   shift_rows(state);
   add_round_key(state, enc_keys_.data() + 4 * kRounds);
-  std::memcpy(out, state, 16);
-}
-
-void Aes128::decrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
-  std::uint8_t state[16];
-  std::memcpy(state, in, 16);
-  add_round_key(state, enc_keys_.data() + 4 * kRounds);
-  for (int round = kRounds - 1; round >= 1; --round) {
-    inv_shift_rows(state);
-    inv_sub_bytes(state);
-    add_round_key(state, enc_keys_.data() + 4 * round);
-    inv_mix_columns(state);
-  }
-  inv_shift_rows(state);
-  inv_sub_bytes(state);
-  add_round_key(state, enc_keys_.data());
   std::memcpy(out, state, 16);
 }
 

@@ -2,9 +2,8 @@
 //
 // Used as (a) the PRF inside UMAC's key-derivation and pad-derivation
 // functions, and (b) the block cipher behind the AES-CTR DRBG that generates
-// key material in the key-management subsystem. Encryption-only schedules
-// are enough for both uses, but decryption is provided for completeness and
-// round-trip testing.
+// key material in the key-management subsystem. Both only encrypt, so the
+// class has no inverse cipher.
 #pragma once
 
 #include <array>
@@ -25,17 +24,10 @@ class Aes128 {
 
   /// Encrypts one 16-byte block (out may alias in).
   void encrypt_block(const std::uint8_t* in, std::uint8_t* out) const;
-  /// Decrypts one 16-byte block (out may alias in).
-  void decrypt_block(const std::uint8_t* in, std::uint8_t* out) const;
 
   Block encrypt(const Block& in) const {
     Block out;
     encrypt_block(in.data(), out.data());
-    return out;
-  }
-  Block decrypt(const Block& in) const {
-    Block out;
-    decrypt_block(in.data(), out.data());
     return out;
   }
 

@@ -111,11 +111,10 @@ void SwitchPartitionFilter::schedule_idle_check(int port) {
         ev.at = sim_.now();
         ev.node = switch_id_;
         ev.port = port;
-        ev.verdict = "disarmed";
         // a0 = violations absorbed over the armed window: the incident's
         // magnitude, paired with the matching sif_install by (node, port).
         ev.a0 = static_cast<std::int64_t>(state.violation_counter);
-        sim_.audit().emit("sif_expire", ev);
+        sim_.audit().emit(obs::Decision::kSifExpire, ev);
       }
       state.sif_active = false;
       state.invalid_pkeys.clear();

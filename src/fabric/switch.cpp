@@ -6,14 +6,12 @@
 namespace ibsec::fabric {
 namespace {
 
-const char* filter_mode_name(FilterMode mode) {
-  switch (mode) {
-    case FilterMode::kNone: return "none";
-    case FilterMode::kDpt: return "dpt";
-    case FilterMode::kIf: return "if";
-    case FilterMode::kSif: return "sif";
-  }
-  return "none";
+/// The P_Key drop's row, whose audit verdict names the filter mode (kNone
+/// never drops).
+obs::Decision pkey_drop_decision(FilterMode mode) {
+  if (mode == FilterMode::kIf) return obs::Decision::kSwitchIfDrop;
+  if (mode == FilterMode::kSif) return obs::Decision::kSwitchSifDrop;
+  return obs::Decision::kSwitchDptDrop;
 }
 
 }  // namespace
@@ -71,33 +69,14 @@ void Switch::set_route(ib::Lid dlid, int port) {
 
 std::string Switch::name() const { return "switch-" + std::to_string(id_); }
 
-obs::AuditEvent Switch::audit_event(const ib::Packet& pkt,
-                                    int in_port) const {
-  obs::AuditEvent ev;
-  ev.at = sim_.now();
-  ev.node = id_;
-  ev.actor_lid = static_cast<std::int32_t>(pkt.lrh.slid);
-  ev.victim_lid = static_cast<std::int32_t>(pkt.lrh.dlid);
-  ev.victim_qp = static_cast<std::int32_t>(pkt.bth.dest_qp);
-  ev.port = in_port;
-  ev.trace_id = pkt.meta.trace_id;
-  return ev;
-}
-
 IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
   InputPort& input = inputs_.at(static_cast<std::size_t>(in_port));
   const ib::VirtualLane vl = pkt.lrh.vl;
   input.accept(pkt, vl);
 
-  obs::TraceRecorder& trace = sim_.trace();
-  const std::uint64_t trace_id =
-      trace.enabled() ? pkt.meta.trace_id : 0;
-
   // A dead switch (FaultCampaign) eats everything before any processing.
   if (dead_) {
-    obs_.drop_dead->inc();
-    trace.instant(trace_id, obs::TraceEventType::kSwitchDrop, id_, sim_.now(),
-                  "dead");
+    sim_.record(obs::Decision::kSwitchDead, *obs_.drop_dead, pkt, id_);
     input.release(pkt, vl);
     return;
   }
@@ -109,9 +88,7 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
   IBSEC_DCHECK(!pkt.meta.vcrc_verified || pkt.vcrc_valid());
   if (!pkt.meta.vcrc_verified) {
     if (!pkt.vcrc_valid()) {
-      obs_.drop_vcrc->inc();
-      trace.instant(trace_id, obs::TraceEventType::kSwitchDrop, id_,
-                    sim_.now(), "vcrc");
+      sim_.record(obs::Decision::kSwitchVcrc, *obs_.drop_vcrc, pkt, id_);
       input.release(pkt, vl);
       return;
     }
@@ -126,15 +103,9 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
         ingress_limiters_[static_cast<std::size_t>(in_port)].get();
     if (limiter != nullptr &&
         !limiter->consume(pkt.wire_size(), sim_.now())) {
-      obs_.drop_rate_limited->inc();
-      if (sim_.audit().enabled()) {
-        obs::AuditEvent ev = audit_event(pkt, in_port);
-        ev.verdict = "dropped";
-        ev.a0 = static_cast<std::int64_t>(pkt.wire_size());
-        sim_.audit().emit("rate_limit_trip", ev);
-      }
-      trace.instant(trace_id, obs::TraceEventType::kSwitchDrop, id_,
-                    sim_.now(), "rate_limited");
+      sim_.record(obs::Decision::kSwitchRateLimited, *obs_.drop_rate_limited,
+                  pkt, id_, static_cast<std::int64_t>(pkt.wire_size()),
+                  in_port);
       input.release(pkt, vl);
       return;
     }
@@ -152,8 +123,11 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
       (config_.switch_pipeline_cycles + decision.lookup_cycles);
   // One span per crossing: pipeline latency plus the filter lookup, with
   // the filter verdict in the detail.
-  trace.span(trace_id, obs::TraceEventType::kSwitch, id_, sim_.now(), delay,
-             decision.allow ? "pass" : "pkey_fail");
+  if (sim_.trace().enabled()) {
+    sim_.trace().span(pkt.meta.trace_id, obs::TraceEventType::kSwitch, id_,
+                      sim_.now(), delay,
+                      decision.allow ? "pass" : "pkey_fail");
+  }
 
   // Park the packet in a pooled slot for the crossing; the slot returns to
   // the pool on every exit path below, so steady-state crossings schedule no
@@ -164,16 +138,9 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
     InputPort& in = inputs_.at(static_cast<std::size_t>(in_port));
     const ib::VirtualLane pvl = slot->lrh.vl;
     if (!allow) {
-      obs_.drop_pkey->inc();
-      if (sim_.audit().enabled()) {
-        obs::AuditEvent ev = audit_event(*slot, in_port);
-        ev.verdict = filter_mode_name(config_.filter_mode);
-        ev.a0 = static_cast<std::int64_t>(slot->bth.pkey);
-        sim_.audit().emit("dpt_drop", ev);
-      }
-      sim_.trace().instant(sim_.trace().enabled() ? slot->meta.trace_id : 0,
-                           obs::TraceEventType::kSwitchDrop, id_, sim_.now(),
-                           "pkey");
+      sim_.record(pkey_drop_decision(config_.filter_mode), *obs_.drop_pkey,
+                  *slot, id_, static_cast<std::int64_t>(slot->bth.pkey),
+                  in_port);
       in.release(*slot, pvl);
       pool_.release(slot);
       return;
@@ -181,10 +148,8 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
     const ib::Lid dlid = slot->lrh.dlid;
     const int out_port = dlid < routes_.size() ? routes_[dlid] : -1;
     if (out_port < 0 || out_port >= num_ports() || out_port == in_port) {
-      obs_.drop_no_route->inc();
-      sim_.trace().instant(sim_.trace().enabled() ? slot->meta.trace_id : 0,
-                           obs::TraceEventType::kSwitchDrop, id_, sim_.now(),
-                           "no_route");
+      sim_.record(obs::Decision::kSwitchNoRoute, *obs_.drop_no_route, *slot,
+                  id_);
       in.release(*slot, pvl);
       pool_.release(slot);
       return;

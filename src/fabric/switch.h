@@ -71,11 +71,6 @@ class Switch final : public Device {
   const ObsHandles& obs() const { return obs_; }
 
  private:
-  /// Common audit-event skeleton for a packet judged at this switch: actor =
-  /// SLID, victim = DLID/destination QP, `port` = the arrival port. Callers
-  /// fill `verdict`/`a0` and emit; sites guard on audit().enabled().
-  obs::AuditEvent audit_event(const ib::Packet& pkt, int in_port) const;
-
   sim::Simulator& sim_;
   const FabricConfig& config_;
   int id_;

@@ -1,5 +1,6 @@
 #include "obs/audit.h"
 
+#include "common/check.h"
 #include "obs/format.h"
 
 namespace ibsec::obs {
@@ -9,10 +10,20 @@ void AuditLog::configure(const AuditConfig& config) {
   if (config_.capacity == 0) config_.capacity = 1;
 }
 
-void AuditLog::emit(std::string_view type, const AuditEvent& event) {
+void AuditLog::emit(AuditType type, const AuditEvent& event) {
   if (!config_.enabled) return;
   AuditEvent ev = event;
-  ev.type = type;
+  ev.type = type.name();
+  record(ev);
+}
+
+void AuditLog::emit(Decision kind, const AuditEvent& event) {
+  if (!config_.enabled) return;
+  const DecisionRow& row = decision_row(kind);
+  IBSEC_DCHECK(!row.audit_type.empty());
+  AuditEvent ev = event;
+  ev.type = row.audit_type;
+  ev.verdict = row.verdict;
   record(ev);
 }
 

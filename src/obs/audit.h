@@ -19,11 +19,12 @@
 // branch-and-call, and — because the log registers no metrics — enabling
 // it leaves registry snapshots byte-identical too.
 //
-// Event types are string literals chosen from the allowlist in
-// docs/audit_schema.md; detlint's audit-schema pass cross-checks every
-// `emit("...")` site against that table, so the taxonomy and the code
-// cannot drift apart silently. The verdict vocabulary per type is also
-// documented there.
+// Event types and verdicts come from the decision table (obs/decision.h),
+// one row per enforcement decision: sites emit by row, and a type named by
+// literal is an AuditType, which only compiles when a row names it.
+// docs/audit_schema.md documents the vocabulary; tests/test_decisions.cpp
+// checks that it equals the table in types and verdicts, and that a short
+// scenario emits every audited row.
 //
 // Storage is bounded either way, mirroring the trace recorder: the default
 // mode keeps the *first* `capacity` events (drop-newest, counted), ring
@@ -39,12 +40,13 @@
 #include <vector>
 
 #include "common/time.h"
+#include "obs/decision.h"
 
 namespace ibsec::obs {
 
-/// One enforcement verdict. `type` and `verdict` point at static string
-/// literals chosen by the emission site (never runtime-built strings), so
-/// an event is trivially copyable and emission never allocates.
+/// One enforcement verdict. `type` and `verdict` point at the decision
+/// table's static strings (never runtime-built strings), so an event is
+/// trivially copyable and emission never allocates.
 ///
 /// Field conventions (-1 / 0 = not applicable for the event type):
 ///   node        the recording component: CA/HCA node id, or switch id for
@@ -97,10 +99,13 @@ class AuditLog {
   /// The hot-path guard: every emission site checks this first.
   bool enabled() const { return config_.enabled; }
 
-  /// Records one verdict. `type` must be a docs/audit_schema.md literal —
-  /// detlint's audit-schema pass checks call sites. No-op when disabled
-  /// (sites guard on enabled() anyway; this keeps cold paths safe too).
-  void emit(std::string_view type, const AuditEvent& event);
+  /// Records one verdict of `type`; the caller sets `event.verdict`. No-op
+  /// when disabled (sites guard on enabled() anyway; this keeps cold paths
+  /// safe too).
+  void emit(AuditType type, const AuditEvent& event);
+  /// Records `kind`'s decision: type and verdict come from its row, which
+  /// must name an audit type.
+  void emit(Decision kind, const AuditEvent& event);
 
   // --- introspection ----------------------------------------------------------
   std::uint64_t events_recorded() const { return recorded_; }
@@ -114,7 +119,7 @@ class AuditLog {
 
   /// JSONL export: one `{"t":...,"type":"...","verdict":"...",...}` object
   /// per line in record order. Byte-deterministic — all numbers format
-  /// through obs/format.h, all strings are emission-site literals that
+  /// through obs/format.h, all strings are decision-table literals that
   /// need no escaping. Schema documented in docs/audit_schema.md.
   std::string to_jsonl() const;
 

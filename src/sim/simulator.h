@@ -9,7 +9,9 @@
 #include <cstdint>
 
 #include "common/annotations.h"
+#include "ib/packet.h"
 #include "obs/audit.h"
+#include "obs/decision.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "sim/event_queue.h"
@@ -36,6 +38,39 @@ class Simulator {
   /// unconfigured log costs one inlined bool load.
   obs::AuditLog& audit() { return audit_; }
   const obs::AuditLog& audit() const { return audit_; }
+
+  /// Records one enforcement decision on `pkt` made at `node` (a switch id
+  /// or CA node): bumps `counter`, then emits the row's audit event and
+  /// writes its trace instant, each only when its sink is enabled. `a0` is
+  /// the audit event's detail value; `port` is the switch ingress port,
+  /// which only a switch row's audit header carries. With both sinks off
+  /// this is a counter increment and two enabled() loads.
+  IBSEC_HOT void record(obs::Decision kind, obs::Counter& counter,
+                        const ib::Packet& pkt, int node, std::int64_t a0 = 0,
+                        int port = -1) {
+    counter.inc();
+    const obs::DecisionRow& row = obs::decision_row(kind);
+    if (!row.audit_type.empty() && audit_.enabled()) {
+      const bool at_switch = row.site == obs::DecisionSite::kSwitch;
+      obs::AuditEvent ev;
+      ev.at = now_;
+      ev.node = node;
+      ev.actor_lid = static_cast<std::int32_t>(pkt.lrh.slid);
+      ev.actor_qp = !at_switch && pkt.deth
+                        ? static_cast<std::int32_t>(pkt.deth->src_qp)
+                        : -1;
+      ev.victim_lid = static_cast<std::int32_t>(pkt.lrh.dlid);
+      ev.victim_qp = static_cast<std::int32_t>(pkt.bth.dest_qp);
+      ev.port = at_switch ? port : -1;
+      ev.trace_id = pkt.meta.trace_id;
+      ev.a0 = a0;
+      audit_.emit(kind, ev);
+    }
+    if (row.trace && trace_.enabled()) {
+      trace_.instant(pkt.meta.trace_id, *row.trace, node, now_,
+                     row.trace_detail);
+    }
+  }
 
   /// Schedules `fn` at absolute time `when` (must be >= now()). Forwards the
   /// raw callable so it is built in place inside the queue's slot pool.

@@ -142,26 +142,10 @@ ib::Packet ChannelAdapter::make_packet(ib::PacketMeta::TrafficClass tclass,
   return pkt;
 }
 
-obs::AuditEvent ChannelAdapter::audit_event(const ib::Packet& pkt) const {
-  obs::AuditEvent ev;
-  ev.at = fabric_.simulator().now();
-  ev.node = node_;
-  ev.actor_lid = static_cast<std::int32_t>(pkt.lrh.slid);
-  ev.actor_qp = pkt.deth ? static_cast<std::int32_t>(pkt.deth->src_qp) : -1;
-  ev.victim_lid = static_cast<std::int32_t>(pkt.lrh.dlid);
-  ev.victim_qp = static_cast<std::int32_t>(pkt.bth.dest_qp);
-  ev.trace_id = pkt.meta.trace_id;
-  return ev;
-}
-
-void ChannelAdapter::trace_retire(const ib::Packet& pkt, const char* cause) {
-  sim::Simulator& sim = fabric_.simulator();
-  if (!sim.trace().enabled() || pkt.meta.trace_id == 0) return;
-  sim.trace().instant(pkt.meta.trace_id,
-                      cause == nullptr ? obs::TraceEventType::kDeliver
-                                       : obs::TraceEventType::kRetire,
-                      node_, sim.now(),
-                      cause == nullptr ? std::string() : std::string(cause));
+IBSEC_HOT void ChannelAdapter::record(obs::Decision kind,
+                                      obs::Counter& counter,
+                                      const ib::Packet& pkt, std::int64_t a0) {
+  fabric_.simulator().record(kind, counter, pkt, node_, a0);
 }
 
 bool ChannelAdapter::post_send(ib::Qpn local_qp,
@@ -338,14 +322,12 @@ void ChannelAdapter::on_packet(ib::Packet&& pkt) {
   // the ones a switch already checked.
   IBSEC_DCHECK(!pkt.meta.vcrc_verified || pkt.vcrc_valid());
   if (!pkt.meta.vcrc_verified && !pkt.vcrc_valid()) {
-    retire_.vcrc->inc();
-    trace_retire(pkt, "vcrc");
+    record(obs::Decision::kCaVcrc, *retire_.vcrc, pkt);
     return;
   }
   if (pkt.lrh.vl == ib::kManagementVl &&
       pkt.bth.dest_qp == ib::kQp0SubnetManagement) {
-    retire_.mad->inc();
-    trace_retire(pkt, "mad");
+    record(obs::Decision::kCaMad, *retire_.mad, pkt);
     handle_mad_packet(pkt);
     return;
   }
@@ -397,52 +379,35 @@ void ChannelAdapter::handle_data_packet(ib::Packet&& pkt) {
       ++counters_.traps_sent;
       send_mad(sm_node_, trap);
     }
-    retire_.pkey_violation->inc();
-    if (fabric_.simulator().audit().enabled()) {
-      obs::AuditEvent ev = audit_event(pkt);
-      ev.verdict = "rejected";
-      ev.a0 = static_cast<std::int64_t>(pkt.bth.pkey);
-      fabric_.simulator().audit().emit("pkey_reject", ev);
-    }
-    trace_retire(pkt, "pkey_violation");
+    record(obs::Decision::kCaPkeyViolation, *retire_.pkey_violation, pkt,
+           static_cast<std::int64_t>(pkt.bth.pkey));
     return;
   }
 
   // 2. Authentication (the paper's mechanism). Without an authenticator the
   // plain ICRC is checked as ordinary error detection.
   if (authenticator_ != nullptr) {
-    const AuthVerdict verdict = authenticator_->verify(pkt);
-    // One mac_fail audit event per rejection, verdict naming the cause —
-    // forensics separates replay bursts from tag-forgery scans by it.
-    const auto audit_mac_fail = [&](std::string_view cause) {
-      sim::Simulator& sim = fabric_.simulator();
-      if (!sim.audit().enabled()) return;
-      obs::AuditEvent ev = audit_event(pkt);
-      ev.verdict = cause;
-      ev.a0 = static_cast<std::int64_t>(pkt.bth.psn);
-      sim.audit().emit("mac_fail", ev);
-    };
-    switch (verdict) {
+    // One mac_fail row per rejection cause: forensics separates replay
+    // bursts from tag-forgery scans by the verdict.
+    const auto psn = static_cast<std::int64_t>(pkt.bth.psn);
+    switch (authenticator_->verify(pkt)) {
       case AuthVerdict::kAccept:
         break;
       case AuthVerdict::kNotAuthenticated:
-        retire_.auth_missing->inc();
-        audit_mac_fail("unauthenticated");
-        trace_retire(pkt, "auth_missing");
+        record(obs::Decision::kCaAuthMissing, *retire_.auth_missing, pkt, psn);
         return;
       case AuthVerdict::kRejectBadTag:
+        record(obs::Decision::kCaAuthBadTag, *retire_.auth_rejected, pkt, psn);
+        return;
       case AuthVerdict::kRejectNoKey:
+        record(obs::Decision::kCaAuthNoKey, *retire_.auth_rejected, pkt, psn);
+        return;
       case AuthVerdict::kRejectReplay:
-        retire_.auth_rejected->inc();
-        audit_mac_fail(verdict == AuthVerdict::kRejectBadTag  ? "bad_tag"
-                       : verdict == AuthVerdict::kRejectNoKey ? "no_key"
-                                                              : "replay");
-        trace_retire(pkt, "auth_rejected");
+        record(obs::Decision::kCaAuthReplay, *retire_.auth_rejected, pkt, psn);
         return;
     }
   } else if (pkt.bth.resv8a == 0 && !pkt.icrc_valid()) {
-    retire_.icrc_error->inc();
-    trace_retire(pkt, "icrc_error");
+    record(obs::Decision::kCaIcrcError, *retire_.icrc_error, pkt);
     return;
   }
 
@@ -462,8 +427,7 @@ void ChannelAdapter::handle_data_packet(ib::Packet&& pkt) {
         qp->rc_rx.nak_armed = false;
         rc_qp = qp;
       } else if (psn_lt(pkt.bth.psn, qp->expected_psn)) {
-        retire_.rc_duplicate->inc();
-        trace_retire(pkt, "rc_duplicate");
+        record(obs::Decision::kCaRcDuplicate, *retire_.rc_duplicate, pkt);
         if (pkt.bth.opcode == ib::OpCode::kRcRdmaReadRequest) {
           // The earlier response was lost: rebuild and resend it.
           serve_rdma_read(pkt, /*duplicate=*/true);
@@ -473,8 +437,7 @@ void ChannelAdapter::handle_data_packet(ib::Packet&& pkt) {
         return;
       } else {
         ++counters_.rc_out_of_order;
-        retire_.rc_out_of_order->inc();
-        trace_retire(pkt, "rc_out_of_order");
+        record(obs::Decision::kCaRcOutOfOrder, *retire_.rc_out_of_order, pkt);
         send_rc_nak(*qp);
         return;
       }
@@ -497,8 +460,8 @@ void ChannelAdapter::handle_data_packet(ib::Packet&& pkt) {
     return;
   }
   if (pkt.bth.opcode == ib::OpCode::kRcRdmaReadResponse) {
-    retire_.rdma_read_response->inc();
-    trace_retire(pkt, "rdma_read_response");
+    record(obs::Decision::kCaRdmaReadResponse, *retire_.rdma_read_response,
+           pkt);
     if (rc_config_.enabled) rc_on_read_response(pkt);
     complete_rdma_read(pkt);
     return;
@@ -521,31 +484,21 @@ void ChannelAdapter::handle_data_packet(ib::Packet&& pkt) {
   // 5. SEND delivery: locate the destination QP; UD checks the Q_Key.
   QueuePair* qp = find_qp(pkt.bth.dest_qp);
   if (qp == nullptr) {
-    retire_.no_dest_qp->inc();
-    trace_retire(pkt, "no_dest_qp");
+    record(obs::Decision::kCaNoDestQp, *retire_.no_dest_qp, pkt);
     return;
   }
   if (qp->type == ServiceType::kUnreliableDatagram) {
     if (!pkt.deth || pkt.deth->qkey != qp->qkey) {
       qkey_drop_counter(*qp).inc();
-      retire_.qkey_violation->inc();
-      if (fabric_.simulator().audit().enabled()) {
-        obs::AuditEvent ev = audit_event(pkt);
-        ev.verdict = "rejected";
-        ev.a0 = pkt.deth
-                    ? static_cast<std::int64_t>(pkt.deth->qkey)
-                    : -1;
-        fabric_.simulator().audit().emit("qkey_reject", ev);
-      }
-      trace_retire(pkt, "qkey_violation");
+      record(obs::Decision::kCaQkeyViolation, *retire_.qkey_violation, pkt,
+             pkt.deth ? static_cast<std::int64_t>(pkt.deth->qkey) : -1);
       return;
     }
   } else if (!rc_config_.enabled) {
     track_rc_psn(pkt, *qp);
   }
   ++qp->counters.received;
-  retire_.delivered->inc();
-  trace_retire(pkt, nullptr);
+  record(obs::Decision::kCaDelivered, *retire_.delivered, pkt);
   if (probe_) probe_(pkt);
   if (receive_handler_) receive_handler_(pkt, *qp);
 
@@ -636,8 +589,7 @@ void ChannelAdapter::serve_rdma_read(const ib::Packet& pkt, bool duplicate) {
   if (qp == nullptr || qp->type != ServiceType::kReliableConnection ||
       !qp->connected || !pkt.reth) {
     if (!duplicate) {
-      retire_.rdma_rejected->inc();
-      trace_retire(pkt, "rdma_rejected");
+      record(obs::Decision::kCaRdmaRejected, *retire_.rdma_rejected, pkt);
     }
     return;
   }
@@ -652,15 +604,13 @@ void ChannelAdapter::serve_rdma_read(const ib::Packet& pkt, bool duplicate) {
       pkt.reth->rkey, pkt.reth->va, pkt.reth->dma_len, /*is_write=*/false);
   if (!region) {
     if (!duplicate) {
-      retire_.rdma_nak->inc();
-      trace_retire(pkt, "rdma_nak");
+      record(obs::Decision::kCaRdmaNak, *retire_.rdma_nak, pkt);
     }
     resp.aeth = ib::Aeth{0x60 /*NAK: remote access error*/, pkt.bth.psn};
   } else {
     if (!duplicate) {
       ++counters_.rdma_reads_served;
-      retire_.delivered->inc();
-      trace_retire(pkt, nullptr);
+      record(obs::Decision::kCaDelivered, *retire_.delivered, pkt);
       if (probe_) probe_(pkt);
     }
     resp.aeth = ib::Aeth{0x00, pkt.bth.psn};
@@ -801,22 +751,14 @@ IBSEC_HOT void ChannelAdapter::handle_rc_ack(const ib::Packet& pkt) {
     retire_.ack->inc();
     return;
   }
-  // Audits both gate outcomes: "rejected" for control packets the
-  // fail-closed validation discards, "accepted" for spoofed ones that
-  // cleared window entries anyway (the campaign's success signal).
-  const auto audit_rc = [&](std::string_view verdict, std::int64_t a0) {
-    sim::Simulator& sim = fabric_.simulator();
-    if (!sim.audit().enabled()) return;
-    obs::AuditEvent ev = audit_event(pkt);
-    ev.verdict = verdict;
-    ev.a0 = a0;
-    sim.audit().emit("rc_spoofed_control", ev);
-  };
+  // The gate's two audited outcomes: control packets the fail-closed
+  // validation discards, and spoofed ones that cleared window entries anyway
+  // (the campaign's success signal).
   QueuePair* qp = find_qp(pkt.bth.dest_qp);
   if (qp == nullptr || qp->type != ServiceType::kReliableConnection ||
       !qp->connected || !pkt.aeth) {
-    retire_.rc_bad_control->inc();
-    audit_rc("rejected", -1);
+    record(obs::Decision::kCaRcControlRejected, *retire_.rc_bad_control, pkt,
+           -1);
     return;
   }
   // Clearing window entries on an attack-tagged control packet is the
@@ -827,8 +769,8 @@ IBSEC_HOT void ChannelAdapter::handle_rc_ack(const ib::Packet& pkt) {
     if (!p.meta.is_attack || cleared == 0) return;
     obs::Counter*& spoofed = rc_obs_.spoofed_control_accepted;
     if (spoofed == nullptr) spoofed = &rc_spoofed_counter();
-    spoofed->inc();
-    audit_rc("accepted", static_cast<std::int64_t>(cleared));
+    record(obs::Decision::kCaRcControlAccepted, *spoofed, p,
+           static_cast<std::int64_t>(cleared));
   };
 
   const ib::Psn psn = pkt.aeth->msn & ib::kPsnMask;
@@ -841,8 +783,8 @@ IBSEC_HOT void ChannelAdapter::handle_rc_ack(const ib::Packet& pkt) {
     if (rc_config_.validate_control && !psn_lt(psn, qp->next_psn)) {
       // Acknowledges PSNs never sent — forged or corrupted; never lets an
       // attacker clear a window they didn't earn.
-      retire_.rc_bad_control->inc();
-      audit_rc("rejected", static_cast<std::int64_t>(psn));
+      record(obs::Decision::kCaRcControlRejected, *retire_.rc_bad_control,
+             pkt, static_cast<std::int64_t>(psn));
       return;
     }
     retire_.ack->inc();
@@ -851,8 +793,8 @@ IBSEC_HOT void ChannelAdapter::handle_rc_ack(const ib::Packet& pkt) {
   }
   if (pkt.aeth->syndrome == kAethNakPsnSequence) {
     if (rc_config_.validate_control && !psn_le(psn, qp->next_psn)) {
-      retire_.rc_bad_control->inc();
-      audit_rc("rejected", static_cast<std::int64_t>(psn));
+      record(obs::Decision::kCaRcControlRejected, *retire_.rc_bad_control,
+             pkt, static_cast<std::int64_t>(psn));
       return;
     }
     retire_.nak->inc();
@@ -867,8 +809,8 @@ IBSEC_HOT void ChannelAdapter::handle_rc_ack(const ib::Packet& pkt) {
     }
     return;
   }
-  retire_.rc_bad_control->inc();
-  audit_rc("rejected", static_cast<std::int64_t>(psn));
+  record(obs::Decision::kCaRcControlRejected, *retire_.rc_bad_control, pkt,
+         static_cast<std::int64_t>(psn));
 }
 
 obs::Counter& ChannelAdapter::rc_spoofed_counter() {
@@ -1000,16 +942,14 @@ obs::Counter& ChannelAdapter::qkey_drop_counter(const QueuePair& qp) {
 
 void ChannelAdapter::apply_rdma_write(const ib::Packet& pkt) {
   if (!pkt.reth) {
-    retire_.rdma_rejected->inc();
-    trace_retire(pkt, "rdma_rejected");
+    record(obs::Decision::kCaRdmaRejected, *retire_.rdma_rejected, pkt);
     return;
   }
   const auto region = memory_table_.check_access(
       pkt.reth->rkey, pkt.reth->va,
       static_cast<std::uint32_t>(pkt.payload.size()), /*is_write=*/true);
   if (!region) {
-    retire_.rdma_rejected->inc();
-    trace_retire(pkt, "rdma_rejected");
+    record(obs::Decision::kCaRdmaRejected, *retire_.rdma_rejected, pkt);
     return;
   }
   auto& buffer = memory_[pkt.reth->rkey];
@@ -1018,8 +958,7 @@ void ChannelAdapter::apply_rdma_write(const ib::Packet& pkt) {
   std::copy(pkt.payload.begin(), pkt.payload.end(),
             buffer.begin() + static_cast<long>(offset));
   ++counters_.rdma_writes_applied;
-  retire_.delivered->inc();
-  trace_retire(pkt, nullptr);
+  record(obs::Decision::kCaDelivered, *retire_.delivered, pkt);
   if (probe_) probe_(pkt);
 }
 

@@ -25,7 +25,7 @@
 #include "fabric/topology.h"
 #include "ib/keys.h"
 #include "ib/packet.h"
-#include "obs/audit.h"
+#include "obs/decision.h"
 #include "obs/registry.h"
 #include "transport/mad.h"
 #include "transport/pki.h"
@@ -304,13 +304,9 @@ class ChannelAdapter {
   /// lifecycle trace's create event matches meta.created_at.
   ib::Packet make_packet(ib::PacketMeta::TrafficClass tclass, int dst_node,
                          ib::PKeyValue pkey, SimTime created_at = -1);
-  /// Records the terminal trace event for a packet retiring at this CA:
-  /// kRetire with the given cause, or kDeliver when cause is nullptr.
-  void trace_retire(const ib::Packet& pkt, const char* cause);
-  /// Common audit-event skeleton for a packet judged at this CA: actor =
-  /// SLID/DETH source QP, victim = DLID/BTH destination QP, trace join key.
-  /// Callers fill `verdict`/`a0` and emit; sites guard on audit().enabled().
-  obs::AuditEvent audit_event(const ib::Packet& pkt) const;
+  /// Records a decision on `pkt` made at this CA (sim::Simulator::record).
+  IBSEC_HOT void record(obs::Decision kind, obs::Counter& counter,
+                        const ib::Packet& pkt, std::int64_t a0 = 0);
 
   fabric::Fabric& fabric_;
   int node_;

@@ -139,7 +139,7 @@ bool SubnetManager::handle_mad(const Mad& mad) {
   // Audits the validation verdict: actor = the reporting CA (a forged
   // trap's sender), victim = the claimed offender the trap asks to
   // blackhole, a0 = the reported P_Key.
-  const auto audit_trap = [&](std::string_view verdict) {
+  const auto audit_trap = [&](obs::Decision kind) {
     sim::Simulator& sim = fabric_.simulator();
     if (!sim.audit().enabled()) return;
     obs::AuditEvent ev;
@@ -149,9 +149,8 @@ bool SubnetManager::handle_mad(const Mad& mad) {
         static_cast<std::int32_t>(fabric_.lid_of_node(mad.src_node));
     ev.actor_qp = static_cast<std::int32_t>(mad.src_qp);
     ev.victim_lid = static_cast<std::int32_t>(mad.value);
-    ev.verdict = verdict;
     ev.a0 = static_cast<std::int64_t>(mad.pkey);
-    sim.audit().emit("sm_trap", ev);
+    sim.audit().emit(kind, ev);
   };
   if (pkey_legal_for(offender, mad.pkey)) {
     auto& reg = fabric_.simulator().obs();
@@ -160,7 +159,7 @@ bool SubnetManager::handle_mad(const Mad& mad) {
         obs_traps_rejected_ = &reg.counter("sm.traps_rejected");
       }
       obs_traps_rejected_->inc();
-      audit_trap("rejected");
+      audit_trap(obs::Decision::kSmTrapRejected);
       return true;
     }
     if (fabric_.config().filter_mode == fabric::FilterMode::kSif) {
@@ -172,7 +171,7 @@ bool SubnetManager::handle_mad(const Mad& mad) {
       obs_poisoned_->inc();
     }
   }
-  audit_trap("accepted");
+  audit_trap(obs::Decision::kSmTrapAccepted);
   arm_sif(offender, mad.pkey);
   return true;
 }
@@ -194,9 +193,8 @@ void SubnetManager::arm_sif(int offender_node, ib::PKeyValue pkey) {
       ev.victim_lid =
           static_cast<std::int32_t>(fabric_.lid_of_node(offender_node));
       ev.port = port;
-      ev.verdict = "armed";
       ev.a0 = static_cast<std::int64_t>(pkey);
-      sim.audit().emit("sif_install", ev);
+      sim.audit().emit(obs::Decision::kSifInstall, ev);
     }
   }
   // The SM -> switch programming SMP takes a configurable delay; during this

@@ -46,8 +46,11 @@ void Scenario::build() {
     cas_.push_back(std::make_unique<transport::ChannelAdapter>(
         *fabric_, node, pki_, config_.seed, config_.rsa_bits));
     cas_.back()->set_rc_config(config_.rc);
-    cas_.back()->set_delivery_probe(
-        [this, node](const ib::Packet& pkt) { probe_delivery(node, pkt); });
+    cas_.back()->set_delivery_probe([this, node](const ib::Packet& pkt) {
+      metrics_.record(pkt);
+      if (campaigns_) campaigns_->on_delivered(node, pkt);
+      if (collective_) collective_->on_delivered(node, pkt);
+    });
   }
 
   std::vector<transport::ChannelAdapter*> ca_ptrs;

@@ -175,11 +175,14 @@ TEST(CollectiveSchedule, SpecParseRoundTrips) {
 
 // --------------------------------------- exact delivery on each topology
 
-// Holds no pointer: gtest lists a param it cannot print by its raw bytes,
-// so a pointer here would put the load address into each test's name.
+// Holds no pointer, so no load address can reach a test's name.
 struct TopoCase {
   char name[16];
 };
+
+// Prints the name: gtest would otherwise list the array's raw bytes in each
+// test's ctest name.
+void PrintTo(const TopoCase& c, std::ostream* os) { *os << c.name; }
 
 fabric::TopologySpec spec_named(std::string_view name) {
   if (name == "fattree") return fattree_spec();

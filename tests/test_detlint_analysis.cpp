@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis_audit.h"
 #include "analysis_lex.h"
 #include "analysis_metrics.h"
 #include "analysis_model.h"
@@ -205,56 +204,6 @@ TEST(DetlintMetrics, FixtureTreeReportsTypoAndUnusedRows) {
   EXPECT_TRUE(saw_suggestion) << to_text(findings);
 }
 
-// --- audit schema ------------------------------------------------------------
-
-TEST(DetlintAudit, SchemaLoaderReadsEventTypes) {
-  AuditSchema schema;
-  std::string error;
-  ASSERT_TRUE(load_audit_schema(
-      fixture_path("audit_bad/schema.md"), schema, error))
-      << error;
-  ASSERT_EQ(schema.entries.size(), 3u);
-  EXPECT_EQ(schema.entries[0].type, "qkey_reject");
-  EXPECT_EQ(schema.entries[1].type, "mac_fail");
-  EXPECT_EQ(schema.entries[2].type, "sif_install");
-}
-
-TEST(DetlintAudit, ExtractFindsLiteralFirstArgMemberCallsOnly) {
-  std::vector<Finding> findings;
-  const FileModel fm = build_file_model(
-      "src/transport/t.cpp",
-      "void f(Sim& sim, std::string_view dyn) {\n"
-      "  sim.audit().emit(\"pkey_reject\", ev);\n"
-      "  log->emit( \"mac_fail\", ev );\n"
-      "  sim.audit().emit(dyn, ev);\n"      // dynamic type: out of scope
-      "  emit(\"free_function\", ev);\n"    // not a member call
-      "}\n",
-      findings);
-  const auto emits = extract_audit_emits(fm);
-  ASSERT_EQ(emits.size(), 2u);
-  EXPECT_EQ(emits[0].type, "pkey_reject");
-  EXPECT_EQ(emits[1].type, "mac_fail");
-}
-
-TEST(DetlintAudit, FixtureTreeReportsTypoAndUnusedRow) {
-  AnalyzerOptions options;
-  options.paths = {fixture_path("audit_bad/src")};
-  options.audit_schema_path = fixture_path("audit_bad/schema.md");
-  std::vector<Finding> findings;
-  std::string error;
-  ASSERT_TRUE(analyze_project(options, findings, error)) << error;
-  EXPECT_EQ(count_rule(findings, "audit-schema"), 1u) << to_text(findings);
-  // The typo'd emission never lands, so its intended row is unused too.
-  EXPECT_EQ(count_rule(findings, "schema-unused"), 2u) << to_text(findings);
-  bool saw_suggestion = false;
-  for (const Finding& f : findings) {
-    if (f.message.find("did you mean 'mac_fail'") != std::string::npos) {
-      saw_suggestion = true;
-    }
-  }
-  EXPECT_TRUE(saw_suggestion) << to_text(findings);
-}
-
 // --- waiver audit ------------------------------------------------------------
 
 TEST(DetlintWaivers, StaleWaiverIsReportedLiveOneIsNot) {
@@ -339,8 +288,6 @@ TEST(DetlintCleanTree, FullAnalyzerWithSchemaIsClean) {
   options.paths = {std::string(IBSEC_SOURCE_ROOT) + "/src"};
   options.schema_path =
       std::string(IBSEC_SOURCE_ROOT) + "/docs/metrics_schema.md";
-  options.audit_schema_path =
-      std::string(IBSEC_SOURCE_ROOT) + "/docs/audit_schema.md";
   std::vector<Finding> findings;
   std::string error;
   ASSERT_TRUE(analyze_project(options, findings, error)) << error;

@@ -217,6 +217,13 @@ struct DragonflyShape {
   DragonflyRouting routing;
 };
 
+// Prints the shape by field: gtest would otherwise list the struct's raw
+// bytes, tail padding included, in each test's ctest name.
+void PrintTo(const DragonflyShape& s, std::ostream* os) {
+  *os << "a=" << s.a << ",p=" << s.p << ",h=" << s.h << ",g=" << s.g
+      << (s.routing == DragonflyRouting::kValiant ? ",valiant" : ",minimal");
+}
+
 class DragonflySweep : public ::testing::TestWithParam<DragonflyShape> {};
 
 TEST_P(DragonflySweep, BlueprintProperties) {

@@ -1,7 +1,6 @@
-// Packet trace recorders: the delivery-CSV recorder (row fidelity, the row
-// cap, CSV formatting) and the obs lifecycle TraceRecorder (sampling, ring
-// eviction, span nesting, the latency breakdown, the check-failure dump),
-// both standalone and against a live scenario.
+// The obs lifecycle TraceRecorder: sampling, ring eviction, span nesting,
+// the latency breakdown and the check-failure dump, both standalone and
+// against a live scenario.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -14,88 +13,9 @@
 #include "fabric/fault.h"
 #include "obs/trace.h"
 #include "workload/scenario.h"
-#include "workload/trace.h"
 
 namespace ibsec::workload {
 namespace {
-
-ib::Packet sample_packet() {
-  ib::Packet pkt;
-  pkt.bth.resv8a = 1;
-  pkt.payload.assign(100, 0);
-  pkt.meta.created_at = 1'000'000;       // 1 us
-  pkt.meta.injected_at = 3'000'000;      // 3 us
-  pkt.meta.delivered_at = 10'000'000;    // 10 us
-  pkt.meta.src_node = 3;
-  pkt.meta.dst_node = 7;
-  pkt.meta.traffic_class = ib::PacketMeta::TrafficClass::kRealtime;
-  pkt.finalize();
-  return pkt;
-}
-
-TEST(Trace, RecordsRowFields) {
-  PacketTraceRecorder trace;
-  trace.record(sample_packet());
-  ASSERT_EQ(trace.rows().size(), 1u);
-  const auto& row = trace.rows()[0];
-  EXPECT_DOUBLE_EQ(row.delivered_us, 10.0);
-  EXPECT_EQ(row.src_node, 3);
-  EXPECT_EQ(row.dst_node, 7);
-  EXPECT_EQ(row.traffic_class, 'R');
-  EXPECT_DOUBLE_EQ(row.queuing_us, 2.0);
-  EXPECT_DOUBLE_EQ(row.latency_us, 7.0);
-  EXPECT_FALSE(row.is_attack);
-  EXPECT_EQ(row.auth_alg, 1);
-}
-
-TEST(Trace, RowCapDropsNewest) {
-  PacketTraceRecorder trace(/*max_rows=*/3);
-  for (int i = 0; i < 5; ++i) trace.record(sample_packet());
-  EXPECT_EQ(trace.rows().size(), 3u);
-  EXPECT_EQ(trace.dropped_rows(), 2u);
-}
-
-TEST(Trace, CsvHasHeaderAndRows) {
-  PacketTraceRecorder trace;
-  trace.record(sample_packet());
-  trace.record(sample_packet());
-  std::ostringstream out;
-  EXPECT_EQ(trace.write_csv(out), 2u);
-  const std::string csv = out.str();
-  EXPECT_NE(csv.find("delivered_us,src,dst,class"), std::string::npos);
-  // Header + 2 rows = 3 newline-terminated lines.
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
-  EXPECT_NE(csv.find("10,3,7,R,"), std::string::npos);
-}
-
-TEST(Trace, CapturesLiveScenario) {
-  ScenarioConfig cfg;
-  cfg.seed = 5;
-  cfg.duration = 300 * time_literals::kMicrosecond;
-  cfg.warmup = 0;
-  cfg.enable_realtime = false;
-  Scenario scenario(cfg);
-  PacketTraceRecorder trace;
-  for (int node = 0; node < scenario.fabric().node_count(); ++node) {
-    scenario.ca(node).set_delivery_probe([&](const ib::Packet& pkt) {
-      scenario.metrics().record(pkt);
-      trace.record(pkt);
-    });
-  }
-  scenario.run();
-  ASSERT_GT(trace.rows().size(), 100u);
-  // Delivered timestamps are non-decreasing per the simulator's clock.
-  for (std::size_t i = 1; i < trace.rows().size(); ++i) {
-    EXPECT_GE(trace.rows()[i].delivered_us + 1e-9,
-              trace.rows()[i - 1].delivered_us);
-  }
-  // And all traffic is best-effort as configured.
-  for (const auto& row : trace.rows()) {
-    EXPECT_EQ(row.traffic_class, 'B');
-  }
-}
-
-// --- obs lifecycle TraceRecorder ---------------------------------------------
 
 obs::TraceConfig lifecycle_config(std::uint64_t sample_every = 1) {
   obs::TraceConfig cfg;

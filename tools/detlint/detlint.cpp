@@ -4,7 +4,6 @@
 #include <map>
 #include <sstream>
 
-#include "analysis_audit.h"
 #include "analysis_hotpath.h"
 #include "analysis_layering.h"
 #include "analysis_lex.h"
@@ -25,7 +24,6 @@ constexpr std::string_view kHotFunction = "hot-function";
 constexpr std::string_view kHotAlloc = "hot-alloc";
 constexpr std::string_view kLayering = "layering";
 constexpr std::string_view kMetricSchema = "metric-schema";
-constexpr std::string_view kAuditSchema = "audit-schema";
 constexpr std::string_view kSchemaUnused = "schema-unused";
 constexpr std::string_view kUnusedAllow = "unused-allow";
 constexpr std::string_view kBadAllow = "bad-allow";
@@ -61,9 +59,6 @@ const std::vector<RuleInfo>& rule_table() {
       {kMetricSchema,
        "registered obs metric name that no docs/metrics_schema.md pattern "
        "can produce (typos get a did-you-mean suggestion)"},
-      {kAuditSchema,
-       "emitted audit event type that is not a docs/audit_schema.md row "
-       "(typos get a did-you-mean suggestion)"},
       {kSchemaUnused,
        "docs/metrics_schema.md row that no scanned source registers; delete "
        "it or tag it dynamic"},
@@ -277,14 +272,6 @@ bool analyze_project(const AnalyzerOptions& options,
     MetricSchema schema;
     if (load_metric_schema(options.schema_path, schema, error)) {
       run_metrics_pass(project, schema, hits);
-    } else {
-      ok = false;
-    }
-  }
-  if (!options.audit_schema_path.empty()) {
-    AuditSchema audit_schema;
-    if (load_audit_schema(options.audit_schema_path, audit_schema, error)) {
-      run_audit_pass(project, audit_schema, hits);
     } else {
       ok = false;
     }

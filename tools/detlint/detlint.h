@@ -53,13 +53,9 @@
 //                            pattern in docs/metrics_schema.md can produce
 //                            (with a "did you mean" suggestion for near-miss
 //                            typos). See analysis_metrics.h.
-//   audit-schema             an audit event emitted in src/ whose type is
-//                            not a row in docs/audit_schema.md — the closed
-//                            taxonomy the forensic analyzer keys on. See
-//                            analysis_audit.h.
-//   schema-unused            a schema row no scanned source registers (or
-//                            no emission produces) — schema rot, the
-//                            doc-side mirror of metric-schema/audit-schema.
+//   schema-unused            a schema row no scanned source registers —
+//                            schema rot, the doc-side mirror of
+//                            metric-schema.
 //   unused-allow             an IBSEC_DETLINT_ALLOW directive that waives
 //                            nothing anymore — waiver rot; delete it.
 //
@@ -121,14 +117,11 @@ struct AnalyzerOptions {
   std::vector<std::string> paths;  ///< files and/or directories to load
   std::string schema_path;  ///< docs/metrics_schema.md; empty skips the
                             ///< metric-schema and schema-unused passes
-  std::string audit_schema_path;  ///< docs/audit_schema.md; empty skips
-                                  ///< the audit-schema pass
 };
 
 /// Runs every pass over the whole project: single-file rules, IBSEC_HOT
 /// regions, layering DAG + include cycles, metric schema (when
-/// `schema_path` is set), audit schema (when `audit_schema_path` is set),
-/// then waiver accounting (unused-allow). Findings
+/// `schema_path` is set), then waiver accounting (unused-allow). Findings
 /// are appended sorted. Returns false when a path or the schema cannot be
 /// read; an explanation is appended to `error`.
 bool analyze_project(const AnalyzerOptions& options,

@@ -1,25 +1,21 @@
 // detlint CLI. Exit codes: 0 clean, 1 findings, 2 usage/IO error.
 //
 //   detlint [--format=text|json|sarif] [--sarif] [--schema=FILE]
-//           [--audit-schema=FILE] [--baseline=FILE] [--diff=FILE]
-//           [--list-rules] <path>...
+//           [--baseline=FILE] [--diff=FILE] [--list-rules] <path>...
 //
 // Each path may be a file or a directory (scanned recursively for C++
 // sources). Every pass runs: line rules, IBSEC_HOT allocation regions,
 // layering DAG + include cycles, the metric schema (when --schema is
-// given), the audit-event schema (when --audit-schema is given), and
-// stale-waiver accounting.
+// given), and stale-waiver accounting.
 //
 //   --sarif              shorthand for --format=sarif (GitHub code scanning)
 //   --schema=FILE        docs/metrics_schema.md; enables the metric passes
-//   --audit-schema=FILE  docs/audit_schema.md; enables the audit-event pass
 //   --baseline=FILE      record current findings to FILE and exit 0 — the
 //                        accepted debt snapshot
 //   --diff=FILE          report (and gate on) only findings not in FILE
 //
-// CI runs `detlint --schema=docs/metrics_schema.md
-// --audit-schema=docs/audit_schema.md --sarif src/`; the cmake `lint`
-// target wraps the text-format equivalent.
+// CI runs `detlint --schema=docs/metrics_schema.md --sarif src/`; the
+// cmake `lint` target wraps the text-format equivalent.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -33,8 +29,8 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: detlint [--format=text|json|sarif] [--sarif] "
-               "[--schema=FILE] [--audit-schema=FILE] [--baseline=FILE] "
-               "[--diff=FILE] [--list-rules] <path>...\n");
+               "[--schema=FILE] [--baseline=FILE] [--diff=FILE] "
+               "[--list-rules] <path>...\n");
   return 2;
 }
 
@@ -43,7 +39,6 @@ int usage() {
 int main(int argc, char** argv) {
   std::string format = "text";
   std::string schema_path;
-  std::string audit_schema_path;
   std::string baseline_out;
   std::string diff_path;
   std::vector<std::string> paths;
@@ -59,8 +54,6 @@ int main(int argc, char** argv) {
       format = "sarif";
     } else if (arg.rfind("--schema=", 0) == 0) {
       schema_path = arg.substr(9);
-    } else if (arg.rfind("--audit-schema=", 0) == 0) {
-      audit_schema_path = arg.substr(15);
     } else if (arg.rfind("--baseline=", 0) == 0) {
       baseline_out = arg.substr(11);
     } else if (arg.rfind("--diff=", 0) == 0) {
@@ -86,7 +79,6 @@ int main(int argc, char** argv) {
   ibsec::detlint::AnalyzerOptions options;
   options.paths = paths;
   options.schema_path = schema_path;
-  options.audit_schema_path = audit_schema_path;
   std::vector<ibsec::detlint::Finding> findings;
   std::string error;
   const bool ok = ibsec::detlint::analyze_project(options, findings, error);

@@ -4,8 +4,35 @@
 #include <cstdio>
 #include <map>
 
+#include "obs/decision.h"
+
 namespace ibsec::forensics {
 namespace {
+
+using obs::Decision;
+
+// The audit types the detectors key on, checked against the decision table
+// when this file compiles: renaming a row breaks the build instead of
+// silently emptying a detector. Verdicts are read from the rows by name.
+constexpr obs::AuditType kQkeyReject = "qkey_reject";
+constexpr obs::AuditType kMacFail = "mac_fail";
+constexpr obs::AuditType kSmTrap = "sm_trap";
+constexpr obs::AuditType kRcSpoofedControl = "rc_spoofed_control";
+constexpr obs::AuditType kPkeyReject = "pkey_reject";
+constexpr obs::AuditType kDptDrop = "dpt_drop";
+constexpr obs::AuditType kRateLimitTrip = "rate_limit_trip";
+
+/// Whether `r` records `kind`: its row's audit type and verdict.
+bool is(const AuditRecord& r, Decision kind) {
+  const obs::DecisionRow& row = obs::decision_row(kind);
+  return r.type == row.audit_type && r.verdict == row.verdict;
+}
+
+/// A bandwidth-DoS verdict: the enforcement side of the Fig. 1 flood.
+bool is_flood(const AuditRecord& r) {
+  return r.type == kPkeyReject || r.type == kDptDrop ||
+         r.type == kRateLimitTrip;
+}
 
 void append_int(std::string& out, std::int64_t v) {
   char buf[24];
@@ -94,16 +121,13 @@ int kind_order(std::string_view kind) {
 bool incident_matches(const Incident& inc, const AuditRecord& r) {
   if (r.actor_lid != inc.suspect_lid) return false;
   if (inc.kind == "scan") {
-    return r.type == "qkey_reject" ||
-           (r.type == "mac_fail" && r.verdict != "replay");
+    return r.type == kQkeyReject ||
+           (r.type == kMacFail && !is(r, Decision::kCaAuthReplay));
   }
-  if (inc.kind == "replay") {
-    return r.type == "mac_fail" && r.verdict == "replay";
-  }
-  if (inc.kind == "trap_forge") return r.type == "sm_trap";
-  if (inc.kind == "rc_spoof") return r.type == "rc_spoofed_control";
-  return r.type == "pkey_reject" || r.type == "dpt_drop" ||
-         r.type == "rate_limit_trip";
+  if (inc.kind == "replay") return is(r, Decision::kCaAuthReplay);
+  if (inc.kind == "trap_forge") return r.type == kSmTrap;
+  if (inc.kind == "rc_spoof") return r.type == kRcSpoofedControl;
+  return is_flood(r);
 }
 
 }  // namespace
@@ -180,20 +204,15 @@ Report analyze(const std::vector<AuditRecord>& records,
 
   ClusterMap scan, replay, trap_forge, rc_spoof, flood;
   for (const AuditRecord& r : records) {
-    if (r.type == "qkey_reject") {
+    if (r.type == kQkeyReject) {
       hit(scan, r, false);
-    } else if (r.type == "mac_fail") {
-      if (r.verdict == "replay") {
-        hit(replay, r, false);
-      } else {
-        hit(scan, r, false);
-      }
-    } else if (r.type == "sm_trap") {
-      hit(trap_forge, r, r.verdict == "accepted");
-    } else if (r.type == "rc_spoofed_control") {
-      hit(rc_spoof, r, r.verdict == "accepted");
-    } else if (r.type == "pkey_reject" || r.type == "dpt_drop" ||
-               r.type == "rate_limit_trip") {
+    } else if (r.type == kMacFail) {
+      hit(is(r, Decision::kCaAuthReplay) ? replay : scan, r, false);
+    } else if (r.type == kSmTrap) {
+      hit(trap_forge, r, is(r, Decision::kSmTrapAccepted));
+    } else if (r.type == kRcSpoofedControl) {
+      hit(rc_spoof, r, is(r, Decision::kCaRcControlAccepted));
+    } else if (is_flood(r)) {
       hit(flood, r, false);
     }
   }
