@@ -13,7 +13,6 @@
 #include <cstring>
 #include <string>
 
-#include "bench/bench_util.h"
 #include "workload/scenario.h"
 
 using namespace ibsec;
@@ -265,7 +264,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  bench::print_testbed_banner(cfg.fabric);
+  std::printf("Testbed (paper Table 1):\n");
+  std::printf("  Physical link bandwidth : %.1f Gbps\n",
+              static_cast<double>(cfg.fabric.link.bandwidth_bps) / 1e9);
+  std::printf("  VLs per physical link   : %d\n", cfg.fabric.link.num_vls);
+  std::printf("  MTU                     : %zu bytes\n", cfg.fabric.mtu_bytes);
+  std::printf("  Topology                : %s\n\n",
+              cfg.fabric.topology
+                  .describe(cfg.fabric.mesh_width, cfg.fabric.mesh_height)
+                  .c_str());
   std::printf("filter=%s attackers=%d duty=%.2f load=%.2f auth=%s alg=%s\n\n",
               fabric::to_string(cfg.fabric.filter_mode), cfg.num_attackers,
               cfg.attack_probability, cfg.best_effort_load,
@@ -302,7 +309,10 @@ int main(int argc, char** argv) {
   workload::Scenario scenario(cfg);
   const auto r = scenario.run();
   if (!metrics_path.empty()) {
-    if (bench::write_metrics_file(r.obs, metrics_path)) {
+    // A ".json" suffix selects JSON, anything else name,value CSV.
+    const bool json = metrics_path.ends_with(".json");
+    if (write_text_file(metrics_path,
+                        json ? r.obs.to_json() : r.obs.to_csv())) {
       std::printf("metrics: wrote %zu values to %s\n", r.obs.values.size(),
                   metrics_path.c_str());
     } else {

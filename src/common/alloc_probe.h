@@ -1,5 +1,5 @@
 // Process-wide heap-allocation counters, used by the zero-allocation tests
-// and by bench_core to report allocs/event.
+// and by the cost ledger (bench/ledger) to count allocations.
 //
 // Linking this translation unit replaces the global `operator new` /
 // `operator delete` with thin malloc/free wrappers that bump relaxed atomic

@@ -8,7 +8,8 @@
 // hot-alloc pass flags heap allocation (new, make_unique/make_shared,
 // std::function), node-based containers, unreserved push_back, and
 // std::string temporaries — the static face of the zero-allocation budget
-// that common/alloc_probe.h and the BENCH_core gate verify dynamically.
+// that common/alloc_probe.h and the zero-allocation tests in
+// tests/test_hot_path.cpp verify dynamically.
 //
 // Place it between the return type's end and the function name, like a
 // compiler attribute:

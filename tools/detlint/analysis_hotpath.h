@@ -2,9 +2,9 @@
 //
 // A function annotated with IBSEC_HOT (common/annotations.h) declares it runs
 // on the per-event / per-packet path, where the zero-allocation contract
-// (verified dynamically by common/alloc_probe.h and the BENCH_core gate)
-// applies. This pass enforces the contract statically inside the annotated
-// body:
+// (verified dynamically by common/alloc_probe.h and the zero-allocation
+// tests in tests/test_hot_path.cpp) applies. This pass enforces the contract
+// statically inside the annotated body:
 //
 //   new / make_unique / make_shared          direct heap allocation
 //   std::function                            type-erasure heap allocation
