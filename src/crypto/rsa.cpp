@@ -12,17 +12,16 @@ constexpr std::array<std::uint32_t, 54> kSmallPrimes = {
     109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
     191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251};
 
-std::vector<std::uint8_t> drbg_bytes(CtrDrbg& drbg, std::size_t n) {
-  return drbg.generate(n);
-}
+// The largest modulus a BigInt holds.
+constexpr std::size_t kMaxModulusBits = BigInt::kMaxLimbs * BigInt::kLimbBits;
 
 }  // namespace
 
 bool is_probable_prime(const BigInt& candidate, CtrDrbg& drbg, int rounds) {
   if (candidate < BigInt(2)) return false;
   for (std::uint32_t p : kSmallPrimes) {
-    if (candidate == BigInt(p)) return true;
-    if (candidate.mod_u32(p) == 0) return false;
+    // A multiple of a small prime is prime only if it is that prime.
+    if (candidate.mod_u32(p) == 0) return candidate == BigInt(p);
   }
 
   // Write candidate - 1 = d * 2^r with d odd.
@@ -35,19 +34,26 @@ bool is_probable_prime(const BigInt& candidate, CtrDrbg& drbg, int rounds) {
     ++r;
   }
 
+  // The rounds run in Montgomery form; comparing domain values compares
+  // the residues they stand for.
+  const Montgomery mont(candidate);
+  const BigInt one_m = mont.enter(one);
+  const BigInt minus_one_m = mont.enter(n_minus_1);
   const BigInt n_minus_3 = candidate - BigInt(3);
   for (int round = 0; round < rounds; ++round) {
     // Base a uniform in [2, candidate - 2].
     const BigInt a =
         BigInt::random_below(n_minus_3,
-                             [&](std::size_t n) { return drbg_bytes(drbg, n); }) +
+                             [&](std::span<std::uint8_t> out) {
+                               drbg.generate(out);
+                             }) +
         BigInt(2);
-    BigInt x = BigInt::modexp(a, d, candidate);
-    if (x == one || x == n_minus_1) continue;
+    BigInt x = mont.pow(mont.enter(a), d);
+    if (x == one_m || x == minus_one_m) continue;
     bool composite = true;
     for (std::size_t i = 0; i + 1 < r; ++i) {
-      x = (x * x) % candidate;
-      if (x == n_minus_1) {
+      x = mont.mul(x, x);
+      if (x == minus_one_m) {
         composite = false;
         break;
       }
@@ -59,8 +65,14 @@ bool is_probable_prime(const BigInt& candidate, CtrDrbg& drbg, int rounds) {
 
 BigInt generate_prime(std::size_t bits, CtrDrbg& drbg) {
   if (bits < 16) throw std::invalid_argument("generate_prime: bits too small");
+  if (bits > kMaxModulusBits / 2) {
+    throw std::invalid_argument("generate_prime: bits too large");
+  }
+  std::array<std::uint8_t, kMaxModulusBits / 16> storage;
+  const std::span<std::uint8_t> bytes =
+      std::span<std::uint8_t>(storage).first((bits + 7) / 8);
   for (;;) {
-    std::vector<std::uint8_t> bytes = drbg.generate((bits + 7) / 8);
+    drbg.generate(bytes);
     // Force exact bit length with the top two bits set, and oddness.
     const std::size_t top_bit = (bits - 1) % 8;
     bytes[0] &= static_cast<std::uint8_t>((1u << (top_bit + 1)) - 1);
@@ -82,23 +94,38 @@ BigInt generate_prime(std::size_t bits, CtrDrbg& drbg) {
 }
 
 RsaKeyPair rsa_generate(std::size_t modulus_bits, CtrDrbg& drbg) {
-  if (modulus_bits < 128 || modulus_bits % 2 != 0) {
-    throw std::invalid_argument("rsa_generate: modulus_bits must be even, >= 128");
+  if (modulus_bits < 128 || modulus_bits % 2 != 0 ||
+      modulus_bits > kMaxModulusBits) {
+    throw std::invalid_argument(
+        "rsa_generate: modulus_bits must be even, >= 128 and <= 2048");
   }
   const BigInt e(65537);
   const BigInt one(1);
   for (;;) {
     const BigInt p = generate_prime(modulus_bits / 2, drbg);
-    BigInt q = generate_prime(modulus_bits / 2, drbg);
+    const BigInt q = generate_prime(modulus_bits / 2, drbg);
     if (p == q) continue;
     const BigInt n = p * q;
     if (n.bit_length() != modulus_bits) continue;
-    const BigInt phi = (p - one) * (q - one);
-    if (BigInt::gcd(e, phi) != one) continue;
-    const auto d = BigInt::mod_inverse(e, phi);
+    const BigInt p1 = p - one;
+    const BigInt q1 = q - one;
+    // nullopt exactly when gcd(e, phi) != 1.
+    const auto d = BigInt::mod_inverse(e, p1 * q1);
     if (!d) continue;
-    return RsaKeyPair{RsaPublicKey{n, e}, RsaPrivateKey{n, *d, p, q}};
+    return RsaKeyPair{
+        RsaPublicKey{n, e},
+        RsaPrivateKey{n, *d, p, q, *d % p1, *d % q1,
+                      *BigInt::mod_inverse(q, p)}};
   }
+}
+
+BigInt rsa_decrypt_raw(const RsaPrivateKey& key, const BigInt& c) {
+  // m1 = c^dp mod p, m2 = c^dq mod q, then m = m2 + q·(qinv·(m1 - m2) mod p).
+  const BigInt m1 = BigInt::modexp(c, key.dp, key.p);
+  const BigInt m2 = BigInt::modexp(c, key.dq, key.q);
+  const BigInt m2p = m2 % key.p;
+  const BigInt diff = m1 >= m2p ? m1 - m2p : m1 + key.p - m2p;
+  return m2 + ((key.qinv * diff) % key.p) * key.q;
 }
 
 std::vector<std::uint8_t> rsa_encrypt(const RsaPublicKey& key,
@@ -109,7 +136,9 @@ std::vector<std::uint8_t> rsa_encrypt(const RsaPublicKey& key,
     throw std::invalid_argument("rsa_encrypt: plaintext too long for modulus");
   }
   // EB = 00 || 02 || PS (nonzero random) || 00 || D
-  std::vector<std::uint8_t> block(k, 0);
+  std::array<std::uint8_t, BigInt::kMaxBytes> storage{};
+  const std::span<std::uint8_t> block =
+      std::span<std::uint8_t>(storage).first(k);
   block[1] = 0x02;
   const std::size_t pad_len = k - 3 - plaintext.size();
   for (std::size_t i = 0; i < pad_len; ++i) {
@@ -121,15 +150,11 @@ std::vector<std::uint8_t> rsa_encrypt(const RsaPublicKey& key,
     } while (b == 0);
     block[2 + i] = b;
   }
-  block[2 + pad_len] = 0x00;
-  std::copy(plaintext.begin(), plaintext.end(),
-            block.begin() + static_cast<long>(3 + pad_len - 1) + 1);
+  std::copy(plaintext.begin(), plaintext.end(), block.begin() + 3 + pad_len);
 
-  const BigInt m = BigInt::from_bytes_be(block);
-  const BigInt c = BigInt::modexp(m, key.e, key.n);
-  std::vector<std::uint8_t> out = c.to_bytes_be();
-  // Left-pad to the modulus size.
-  out.insert(out.begin(), k - out.size(), 0);
+  const BigInt c = BigInt::modexp(BigInt::from_bytes_be(block), key.e, key.n);
+  std::vector<std::uint8_t> out(k);
+  c.to_bytes_be(out);
   return out;
 }
 
@@ -139,9 +164,10 @@ std::optional<std::vector<std::uint8_t>> rsa_decrypt(
   if (ciphertext.size() != k) return std::nullopt;
   const BigInt c = BigInt::from_bytes_be(ciphertext);
   if (c >= key.n) return std::nullopt;
-  const BigInt m = BigInt::modexp(c, key.d, key.n);
-  std::vector<std::uint8_t> block = m.to_bytes_be();
-  block.insert(block.begin(), k - block.size(), 0);
+  std::array<std::uint8_t, BigInt::kMaxBytes> storage;
+  const std::span<std::uint8_t> block =
+      std::span<std::uint8_t>(storage).first(k);
+  rsa_decrypt_raw(key, c).to_bytes_be(block);
 
   if (block.size() < 11 || block[0] != 0x00 || block[1] != 0x02) {
     return std::nullopt;

@@ -6,11 +6,13 @@
 // recipient's public key; bulk data is never encrypted. This module
 // implements the required primitive end to end: Miller-Rabin prime
 // generation, keypair construction with e = 65537, and PKCS#1-v1.5-style
-// type-2 random padding for the wrap operation.
+// type-2 random padding for the wrap operation. Decryption uses the
+// Chinese Remainder Theorem (two half-width exponentiations, then Garner's
+// recombination), and nothing here allocates except the returned buffers.
 //
-// Key sizes default to 512 bits in simulation so that fabric bring-up
-// (one keypair per node) stays fast; the implementation supports larger
-// moduli and the tests exercise 768/1024-bit keys.
+// Every Scenario uses 256-bit keys (ScenarioConfig::rsa_bits) so that
+// fabric bring-up (one keypair per node) stays fast; the implementation
+// supports moduli up to 2048 bits and the tests exercise 768/1024-bit keys.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +37,10 @@ struct RsaPrivateKey {
   BigInt d;
   BigInt p;
   BigInt q;
+  // CRT form of d: dp = d mod (p-1), dq = d mod (q-1), qinv = q^-1 mod p.
+  BigInt dp;
+  BigInt dq;
+  BigInt qinv;
 };
 
 struct RsaKeyPair {
@@ -51,8 +57,8 @@ bool is_probable_prime(const BigInt& candidate, CtrDrbg& drbg,
 /// the full modulus width).
 BigInt generate_prime(std::size_t bits, CtrDrbg& drbg);
 
-/// Generates an RSA keypair with a modulus of `modulus_bits` (must be >= 128
-/// and even).
+/// Generates an RSA keypair with a modulus of `modulus_bits` (must be >= 128,
+/// even, and at most 2048).
 RsaKeyPair rsa_generate(std::size_t modulus_bits, CtrDrbg& drbg);
 
 /// Encrypts `plaintext` (at most modulus_bytes - 11 bytes) with type-2
@@ -60,6 +66,9 @@ RsaKeyPair rsa_generate(std::size_t modulus_bits, CtrDrbg& drbg);
 std::vector<std::uint8_t> rsa_encrypt(const RsaPublicKey& key,
                                       std::span<const std::uint8_t> plaintext,
                                       CtrDrbg& drbg);
+
+/// The raw private-key operation c^d mod n (RSADP), computed by CRT; c < n.
+BigInt rsa_decrypt_raw(const RsaPrivateKey& key, const BigInt& c);
 
 /// Inverse of rsa_encrypt; std::nullopt if the padding is malformed (wrong
 /// key or corrupted ciphertext).

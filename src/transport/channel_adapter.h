@@ -57,9 +57,9 @@ class PacketAuthenticator {
 
 class ChannelAdapter {
  public:
-  /// Creates the CA, generates its RSA identity (512-bit by default, for
-  /// bring-up speed), registers it in the PKI directory, and hooks the
-  /// node's fabric HCA.
+  /// Creates the CA, generates its RSA identity (`rsa_bits`; every Scenario
+  /// passes ScenarioConfig::rsa_bits = 256, for bring-up speed), registers
+  /// it in the PKI directory, and hooks the node's fabric HCA.
   ChannelAdapter(fabric::Fabric& fabric, int node, PkiDirectory& pki,
                  std::uint64_t key_seed, std::size_t rsa_bits = 512);
 

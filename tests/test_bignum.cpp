@@ -1,7 +1,9 @@
 // BigInt: arithmetic identities, Knuth-division properties, shifts, codecs,
-// modular exponentiation (Fermat checks), gcd and modular inverse.
+// modular exponentiation (Fermat checks, Montgomery against a textbook
+// reference), modular inverse and the fixed capacity.
 #include <gtest/gtest.h>
 
+#include "bignum_testing.h"
 #include "common/rng.h"
 #include "crypto/bignum.h"
 
@@ -20,26 +22,26 @@ TEST(BigInt, ZeroProperties) {
   EXPECT_TRUE(zero.is_zero());
   EXPECT_FALSE(zero.is_odd());
   EXPECT_EQ(zero.bit_length(), 0u);
-  EXPECT_EQ(zero.to_hex(), "0");
-  EXPECT_TRUE(zero.to_bytes_be().empty());
+  EXPECT_EQ(bigint_to_hex(zero), "0");
+  EXPECT_TRUE(bigint_to_bytes(zero).empty());
 }
 
 TEST(BigInt, SmallValueRoundTrip) {
   const BigInt v(0x123456789ABCDEFULL);
-  EXPECT_EQ(v.to_hex(), "123456789abcdef");
-  EXPECT_EQ(BigInt::from_hex("123456789abcdef"), v);
-  EXPECT_EQ(BigInt::from_bytes_be(v.to_bytes_be()), v);
+  EXPECT_EQ(bigint_to_hex(v), "123456789abcdef");
+  EXPECT_EQ(bigint_from_hex("123456789abcdef"), v);
+  EXPECT_EQ(BigInt::from_bytes_be(bigint_to_bytes(v)), v);
 }
 
 TEST(BigInt, BytesRoundTripIgnoresLeadingZeros) {
   const std::vector<std::uint8_t> with_zeros = {0, 0, 0x12, 0x34};
   const BigInt v = BigInt::from_bytes_be(with_zeros);
   EXPECT_EQ(v, BigInt(0x1234));
-  EXPECT_EQ(v.to_bytes_be(), (std::vector<std::uint8_t>{0x12, 0x34}));
+  EXPECT_EQ(bigint_to_bytes(v), (std::vector<std::uint8_t>{0x12, 0x34}));
 }
 
 TEST(BigInt, ComparisonTotalOrder) {
-  const BigInt a(5), b(7), c = BigInt::from_hex("ffffffffffffffffff");
+  const BigInt a(5), b(7), c = bigint_from_hex("ffffffffffffffffff");
   EXPECT_LT(a, b);
   EXPECT_LT(b, c);
   EXPECT_LT(a, c);
@@ -48,13 +50,13 @@ TEST(BigInt, ComparisonTotalOrder) {
 }
 
 TEST(BigInt, AdditionCarriesAcrossLimbs) {
-  const BigInt a = BigInt::from_hex("ffffffffffffffff");
-  EXPECT_EQ((a + BigInt(1)).to_hex(), "10000000000000000");
+  const BigInt a = bigint_from_hex("ffffffffffffffff");
+  EXPECT_EQ(bigint_to_hex(a + BigInt(1)), "10000000000000000");
 }
 
 TEST(BigInt, SubtractionBorrowsAcrossLimbs) {
-  const BigInt a = BigInt::from_hex("10000000000000000");
-  EXPECT_EQ((a - BigInt(1)).to_hex(), "ffffffffffffffff");
+  const BigInt a = bigint_from_hex("10000000000000000");
+  EXPECT_EQ(bigint_to_hex(a - BigInt(1)), "ffffffffffffffff");
 }
 
 TEST(BigInt, SubtractionUnderflowThrows) {
@@ -81,8 +83,8 @@ TEST(BigInt, MultiplicationIdentities) {
 }
 
 TEST(BigInt, MultiplicationKnownValue) {
-  const BigInt a = BigInt::from_hex("ffffffffffffffff");
-  EXPECT_EQ((a * a).to_hex(), "fffffffffffffffe0000000000000001");
+  const BigInt a = bigint_from_hex("ffffffffffffffff");
+  EXPECT_EQ(bigint_to_hex(a * a), "fffffffffffffffe0000000000000001");
 }
 
 TEST(BigInt, DistributiveLaw) {
@@ -131,8 +133,8 @@ TEST(BigInt, DivModEuclideanPropertyRandom) {
 TEST(BigInt, DivModKnuthD3CornerCase) {
   // Divisor with high limb 0x80000000 and a dividend driving the qhat
   // correction path.
-  const BigInt a = BigInt::from_hex("7fffffff800000010000000000000000");
-  const BigInt b = BigInt::from_hex("800000008000000200000005");
+  const BigInt a = bigint_from_hex("7fffffff800000010000000000000000");
+  const BigInt b = bigint_from_hex("800000008000000200000005");
   const auto [q, r] = a.divmod(b);
   EXPECT_EQ(q * b + r, a);
   EXPECT_LT(r, b);
@@ -155,7 +157,7 @@ TEST(BigInt, ModExpSmallKnownValues) {
 
 TEST(BigInt, ModExpFermatLittleTheorem) {
   // a^(p-1) ≡ 1 mod p for prime p and gcd(a,p)=1.
-  const BigInt p = BigInt::from_hex("fffffffb");  // 4294967291, prime
+  const BigInt p = bigint_from_hex("fffffffb");  // 4294967291, prime
   Rng rng(607);
   for (int trial = 0; trial < 20; ++trial) {
     BigInt a = random_bigint(rng, 4) % p;
@@ -168,26 +170,8 @@ TEST(BigInt, ModExpZeroExponent) {
   EXPECT_EQ(BigInt::modexp(BigInt(12345), BigInt(), BigInt(7)), BigInt(1));
 }
 
-TEST(BigInt, GcdKnownValues) {
-  EXPECT_EQ(BigInt::gcd(BigInt(48), BigInt(18)), BigInt(6));
-  EXPECT_EQ(BigInt::gcd(BigInt(17), BigInt(13)), BigInt(1));
-  EXPECT_EQ(BigInt::gcd(BigInt(0), BigInt(5)), BigInt(5));
-}
-
-TEST(BigInt, GcdDividesBoth) {
-  Rng rng(608);
-  for (int trial = 0; trial < 30; ++trial) {
-    const BigInt a = random_bigint(rng, 5);
-    const BigInt b = random_bigint(rng, 5);
-    if (a.is_zero() || b.is_zero()) continue;
-    const BigInt g = BigInt::gcd(a, b);
-    EXPECT_TRUE((a % g).is_zero());
-    EXPECT_TRUE((b % g).is_zero());
-  }
-}
-
 TEST(BigInt, ModInverseProperty) {
-  const BigInt m = BigInt::from_hex("fffffffb");  // prime modulus
+  const BigInt m = bigint_from_hex("fffffffb");  // prime modulus
   Rng rng(609);
   for (int trial = 0; trial < 30; ++trial) {
     BigInt a = random_bigint(rng, 3) % m;
@@ -206,7 +190,7 @@ TEST(BigInt, ModInverseNonCoprimeFails) {
 TEST(BigInt, ModInverse65537Style) {
   // The exact shape rsa_generate uses: inverse of e modulo phi.
   const BigInt e(65537);
-  const BigInt phi = BigInt::from_hex(
+  const BigInt phi = bigint_from_hex(
       "3b4a51b7280a17a0d2b337ef44f6f4d8b4b0c7cbd234580f0dcd1f1b7260");
   const auto d = BigInt::mod_inverse(e, phi);
   ASSERT_TRUE(d.has_value());
@@ -214,7 +198,7 @@ TEST(BigInt, ModInverse65537Style) {
 }
 
 TEST(BigInt, BitAccess) {
-  const BigInt v = BigInt::from_hex("8000000000000001");
+  const BigInt v = bigint_from_hex("8000000000000001");
   EXPECT_TRUE(v.bit(0));
   EXPECT_TRUE(v.bit(63));
   EXPECT_FALSE(v.bit(1));
@@ -277,15 +261,125 @@ TEST(BigInt, DifferentialModexp) {
 
 TEST(BigInt, RandomBelowBound) {
   Rng rng(610);
-  const BigInt bound = BigInt::from_hex("1000000000000001");
+  const BigInt bound = bigint_from_hex("1000000000000001");
   for (int trial = 0; trial < 50; ++trial) {
-    const BigInt r = BigInt::random_below(bound, [&](std::size_t n) {
-      std::vector<std::uint8_t> buf(n);
-      for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u32());
-      return buf;
-    });
+    const BigInt r =
+        BigInt::random_below(bound, [&](std::span<std::uint8_t> buf) {
+          for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u32());
+        });
     EXPECT_LT(r, bound);
   }
+}
+
+TEST(BigInt, DivModKnuthAddBackWith64BitLimbs) {
+  // The 64-bit-limb image of the corner case above: its first quotient
+  // estimate survives the two-limb test and is corrected by adding v back.
+  const BigInt a = bigint_from_hex(
+      "7fffffffffffffff800000000000000100000000000000000000000000000000");
+  const BigInt b = bigint_from_hex(
+      "800000000000000080000000000000020000000000000005");
+  const auto [q, r] = a.divmod(b);
+  EXPECT_EQ(q * b + r, a);
+  EXPECT_LT(r, b);
+}
+
+TEST(BigInt, ToBytesLeftPadsToTheGivenWidth) {
+  std::vector<std::uint8_t> out(5, 0xEE);
+  BigInt(0x1234).to_bytes_be(out);
+  EXPECT_EQ(out, (std::vector<std::uint8_t>{0, 0, 0, 0x12, 0x34}));
+  BigInt().to_bytes_be(out);
+  EXPECT_EQ(out, std::vector<std::uint8_t>(5, 0));
+}
+
+// --- Montgomery exponentiation -----------------------------------------------
+
+/// A random odd value of exactly `bits` bits.
+BigInt random_odd(Rng& rng, std::size_t bits) {
+  std::vector<std::uint8_t> buf((bits + 7) / 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u32());
+  const std::size_t top = (bits - 1) % 8;
+  buf[0] &= static_cast<std::uint8_t>((2u << top) - 1);
+  buf[0] |= static_cast<std::uint8_t>(1u << top);
+  buf.back() |= 1;
+  return BigInt::from_bytes_be(buf);
+}
+
+TEST(BigInt, MontgomeryModexpMatchesReferenceOnRandomOddModuli) {
+  Rng rng(611);
+  for (std::size_t bits : {64u, 65u, 127u, 128u, 256u, 511u, 768u, 1024u,
+                           1536u, 2048u}) {
+    SCOPED_TRACE(::testing::Message() << "modulus bits=" << bits);
+    const BigInt m = random_odd(rng, bits);
+    const std::size_t trials = bits <= 256 ? 8 : 2;
+    // Past 1024 bits the reference multiplies by double-and-add, so its
+    // exponents stay short.
+    const std::size_t max_exponent_bits = bits <= 1024 ? bits : 160;
+    for (std::size_t trial = 0; trial < trials; ++trial) {
+      const BigInt base = random_odd(rng, bits) % m;
+      const std::size_t exponent_bits =
+          trial % 2 ? max_exponent_bits : 1 + rng.uniform(max_exponent_bits);
+      const BigInt exponent = random_odd(rng, exponent_bits);
+      EXPECT_EQ(BigInt::modexp(base, exponent, m),
+                reference_modexp(base, exponent, m));
+    }
+  }
+}
+
+TEST(BigInt, MontgomeryModexpEdgeCases) {
+  Rng rng(612);
+  const BigInt m = random_odd(rng, 256);
+  const BigInt x = random_odd(rng, 200);
+  const BigInt e = random_odd(rng, 64);
+  // Base at or above the modulus, including several limbs wider.
+  for (const BigInt& base : {m, m + BigInt(1), m * BigInt(3) + x,
+                             (m << 300) + x}) {
+    EXPECT_EQ(BigInt::modexp(base, e, m), reference_modexp(base, e, m));
+  }
+  EXPECT_TRUE(BigInt::modexp(BigInt(), e, m).is_zero());  // base 0
+  EXPECT_EQ(BigInt::modexp(x, BigInt(), m), BigInt(1));   // exponent 0
+  EXPECT_EQ(BigInt::modexp(x, BigInt(1), m), x);          // exponent 1
+  EXPECT_EQ(BigInt::modexp(BigInt(), BigInt(), m), BigInt(1));
+  // Modulus 1: every residue is 0, x^0 included.
+  EXPECT_TRUE(BigInt::modexp(x, e, BigInt(1)).is_zero());
+  EXPECT_TRUE(BigInt::modexp(x, BigInt(), BigInt(1)).is_zero());
+  // All-ones top limb (and all-ones modulus), where the final conditional
+  // subtraction of the Montgomery product is most often taken.
+  const BigInt ones = (BigInt(1) << 256) - BigInt(1);
+  const BigInt top_ones = ones - (BigInt(1) << 100) * BigInt(12345);
+  for (const BigInt& mod : {ones, top_ones, (BigInt(1) << 64) - BigInt(1)}) {
+    for (const BigInt& base : {mod - BigInt(1), x % mod, mod - BigInt(2)}) {
+      EXPECT_EQ(BigInt::modexp(base, e, mod), reference_modexp(base, e, mod));
+    }
+  }
+}
+
+TEST(BigInt, MontgomeryDomainRoundTripAndProduct) {
+  Rng rng(613);
+  for (std::size_t bits : {64u, 192u, 1024u}) {
+    const BigInt m = random_odd(rng, bits);
+    const Montgomery mont(m);
+    const BigInt a = random_odd(rng, bits + 40) % m;
+    const BigInt b = random_odd(rng, bits - 1) % m;
+    EXPECT_EQ(mont.leave(mont.enter(a)), a);
+    EXPECT_EQ(mont.leave(mont.mul(mont.enter(a), mont.enter(b))), (a * b) % m);
+  }
+}
+
+// --- capacity ----------------------------------------------------------------
+// A value past kMaxLimbs limbs must fail closed, never write past the array.
+TEST(BigIntDeathTest, OperandPastCapacityFailsTheCheck) {
+  const std::size_t max_bits = BigInt::kMaxLimbs * BigInt::kLimbBits;
+  const BigInt top = BigInt(1) << (max_bits - 1);  // the widest value
+  EXPECT_EQ(top.bit_length(), max_bits);
+  EXPECT_DEATH((void)(top << 1), "IBSEC_CHECK failed");
+  EXPECT_DEATH((void)(top + top), "IBSEC_CHECK failed");
+  const BigInt half = BigInt(1) << (max_bits / 2);
+  EXPECT_DEATH((void)(half * half), "IBSEC_CHECK failed");
+  std::vector<std::uint8_t> wide(BigInt::kMaxBytes + 1, 0);
+  wide[0] = 1;
+  EXPECT_DEATH((void)BigInt::from_bytes_be(wide), "IBSEC_CHECK failed");
+  std::vector<std::uint8_t> narrow(3);
+  EXPECT_DEATH(BigInt(0x1000000).to_bytes_be(narrow), "IBSEC_CHECK failed");
 }
 
 }  // namespace

@@ -299,6 +299,58 @@ TEST_P(AttackSpecFuzz, MutatedValidSpecsNeverCrash) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AttackSpecFuzz, ::testing::Values(21, 22, 23));
 
+// --- key-MAD blobs -----------------------------------------------------------
+// A key MAD's blob reaches ChannelAdapter::unwrap straight off the wire. The
+// RSA layer fails closed (IBSEC_CHECK) on an operand wider than BigInt's
+// capacity, so no blob length may reach that check: every forged, truncated
+// or extended blob must come back as nullopt or as a payload that fits the
+// padding (at most k - 11 bytes for a k-byte modulus), never abort.
+class UnwrapFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(UnwrapFuzz, BlobsOfEveryLengthNeverAbort) {
+  fabric::FabricConfig fcfg;
+  fcfg.mesh_width = 2;
+  fcfg.mesh_height = 1;
+  fabric::Fabric fabric(fcfg);
+  transport::PkiDirectory pki;
+  transport::ChannelAdapter ca0(fabric, 0, pki, 55, /*rsa_bits=*/256);
+  transport::ChannelAdapter ca1(fabric, 1, pki, 55, /*rsa_bits=*/256);
+  const std::vector<std::uint8_t> secret(16, 0x5A);
+  const auto honest = ca1.wrap_for(0, secret);
+  ASSERT_TRUE(honest.has_value());
+  const std::size_t k = honest->size();
+  ASSERT_EQ(ca0.unwrap(*honest), secret);
+
+  Rng rng(GetParam());
+  const auto check = [&](const std::vector<std::uint8_t>& blob) {
+    const auto pt = ca0.unwrap(blob);
+    if (pt.has_value()) {
+      EXPECT_LE(pt->size(), k - 11) << "blob length " << blob.size();
+    }
+  };
+  for (std::size_t len = 0; len <= 2 * k + 1; ++len) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<std::uint8_t> random(len);
+      for (auto& b : random) b = static_cast<std::uint8_t>(rng.next_u32());
+      check(random);
+      // The honest blob cut or extended to `len`, then a few bytes flipped.
+      std::vector<std::uint8_t> mutated = *honest;
+      mutated.resize(len, static_cast<std::uint8_t>(rng.next_u32()));
+      for (int flip = 0; flip < 1 + trial && len > 0; ++flip) {
+        mutated[rng.uniform(len)] ^=
+            static_cast<std::uint8_t>(1 + rng.uniform(255));
+      }
+      check(mutated);
+    }
+  }
+  // All-0xFF blobs are at or above every modulus of their width.
+  for (std::size_t len = 0; len <= 2 * k + 1; ++len) {
+    check(std::vector<std::uint8_t>(len, 0xFF));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, UnwrapFuzz, ::testing::Values(31, 32));
+
 TEST(PacketFuzzMisc, ParseSerializeIdempotence) {
   Rng rng(42);
   int accepted = 0;

@@ -3,6 +3,8 @@
 // ciphertext).
 #include <gtest/gtest.h>
 
+#include "bignum_testing.h"
+#include "common/alloc_probe.h"
 #include "common/hex.h"
 #include "crypto/rsa.h"
 
@@ -136,6 +138,151 @@ TEST(Rsa, EmptyPlaintextRoundTrip) {
   const auto pt = rsa_decrypt(kp.private_key, ct);
   ASSERT_TRUE(pt.has_value());
   EXPECT_TRUE(pt->empty());
+}
+
+// --- known answers -----------------------------------------------------------
+// Key generation must draw from the DRBG with the same sizes in the same
+// order forever: the keys, every wrapped blob and the export goldens depend
+// on it. Each vector pins the primes, modulus and private exponent, one
+// ciphertext of a fixed secret, and the next 16 DRBG bytes after both calls
+// (so a keygen that consumed the stream differently fails here even if it
+// happened to find the same primes). The first seed is node 0's key seed in
+// a Scenario with seed 2005.
+struct RsaKnownAnswer {
+  std::uint64_t seed;
+  std::size_t bits;
+  const char* p;
+  const char* q;
+  const char* n;
+  const char* d;
+  const char* ciphertext;
+  const char* next_drbg;
+};
+
+constexpr RsaKnownAnswer kRsaKnownAnswers[] = {
+    {0x1ba5ec07d5ULL, 256,
+     "f98478ebf377462dfd7bd1ac4c83d4ff",
+     "efebd30d493859b95dab8f3253b9b171",
+     "e9d887346ba729927de0c7eaabb7c10dbd0b918650e1e0206100c21685bc538f",
+     "e19c4b4db2f353338788dfb8343613e5122243270aae34b20f479bf92ecc78a1",
+     "709a92d08ca032e456806ce7a1f3e6a783ac5c5fdea9e1ac152b208c19d4c09b",
+     "c47d2322e3d0213071c43164881597b4"},
+    {0x7ULL, 256,
+     "cb263a71454e7bdc3053d35e80f98b9d",
+     "f9fb3b5b3761266c5f4a91e83aafdd15",
+     "c65f8c6dab797a317c91a521a6b4d9653ba845cb863071d913c813980451fce1",
+     "6aeb36ea2960f91e5110c31b271a148d4a6611175a0ce652f318f00e7985fb11",
+     "2af7d4bf42c6b7b54c8b60cebaf2ab71633dfb403bf34c6ffc0cb22dc95321d5",
+     "36d2c575fdf042255f2d11034323c969"},
+    {0x2aULL, 512,
+     "f3839e25d9ce19d9540e96505f57fb9e7ca058f54fa50402315e09f711e5e7d5",
+     "e992eb72e6402e83f47ee0c278991d3114a636af1faf93a78045dc51ec4a68fd",
+     "de2e8bf7c2a146197171b6a2f91e846a828e8d55d9fee96e8c371baac47900f4"
+     "14f6481ca94befa604c1c1079afcd80ffd2f0ded8c6b9cfadd49bd0475f6a581",
+     "75d5edf9fb49996a0916ac2c873f3e2f570acfbec69d41a495ccec6987463dd0"
+     "38fdfb86ee7efa67c3196057e5d2271ebd9c52cde815bb862f46073ae9ed5021",
+     "a7435cd0d7e858a5d1fc3b393a3b0e2afaba690a725fdf86ee79c9b693055a4f"
+     "e6736dfbd61c35d61b6f5d085805b2a153d0ce0014be0f5e8460374e63e9487a",
+     "3c28f056b0b6bbab197fd860af4d1db8"},
+    {0x400ULL, 768,
+     "f7f503d1accbae19f40031fd7383bc2bc5dd21edc62d68b8f7f290aaefceae63"
+     "d028109690561e9f94ae4c37e3fbf115",
+     "fa3dc44e18071c1d3abe125ce70fe78c7f0c5915baa2c9148848079378342395"
+     "a131b2f6a947a15742355337cbb8cd63",
+     "f261193fe68ea2064ad30ba0831fb45389cc147b2d96b4f731205f3a2b8bf4d2"
+     "1af5107945cbf3b9117a271db967611fd38204e1a13b74d27eed450b8ba0d4bd"
+     "cc99792fe2895f4991646c7c821ca8cb192bebcba0fe7edd2a087af1d8940c1f",
+     "5dbb2f088720a187cd67d017429e001e4e2b9dc004e1431a54e52fee4ee8d0c4"
+     "6fa855b690474ef942c8fa57845b763317ee8c906bac0e4e01b42b905a67bf8d"
+     "63ebab5f7e6b1e2bdc77509cb37b4a97c94e7c41a5b8c41a4e0cf2d662f7f81",
+     "40f67651cc862ac942296e604469d1e300485e93c3967d1720d582f8d411738f"
+     "6c6c359fe396f644cf40dbb8f6b659ad11842cf7605359bb8c48225730689732"
+     "0d265a20e99ae9817e1815acc18846308b716c5f8ea986f32366aec7d8f7e76a",
+     "4280f1cfbbc9d8ea9f5c2b5e57730ae9"},
+};
+
+TEST(RsaKnownAnswer, KeysCiphertextAndDrbgStreamArePinned) {
+  const auto secret = ascii_bytes("16-byte-secret!!");
+  for (const RsaKnownAnswer& v : kRsaKnownAnswers) {
+    SCOPED_TRACE(::testing::Message()
+                 << "seed=" << v.seed << " bits=" << v.bits);
+    CtrDrbg drbg(v.seed);
+    const RsaKeyPair kp = rsa_generate(v.bits, drbg);
+    EXPECT_EQ(bigint_to_hex(kp.private_key.p), v.p);
+    EXPECT_EQ(bigint_to_hex(kp.private_key.q), v.q);
+    EXPECT_EQ(bigint_to_hex(kp.public_key.n), v.n);
+    EXPECT_EQ(bigint_to_hex(kp.private_key.d), v.d);
+    EXPECT_EQ(to_hex(rsa_encrypt(kp.public_key, secret, drbg)), v.ciphertext);
+    EXPECT_EQ(to_hex(drbg.generate(16)), v.next_drbg);
+  }
+}
+
+// --- CRT decryption ----------------------------------------------------------
+
+TEST(Rsa, CrtDecryptionEqualsPlainExponentiation) {
+  for (std::size_t bits : {256u, 512u, 768u}) {
+    SCOPED_TRACE(::testing::Message() << "bits=" << bits);
+    CtrDrbg drbg(std::uint64_t{715} + bits);
+    const RsaKeyPair kp = rsa_generate(bits, drbg);
+    const RsaPrivateKey& key = kp.private_key;
+    EXPECT_EQ(key.dp, key.d % (key.p - BigInt(1)));
+    EXPECT_EQ(key.dq, key.d % (key.q - BigInt(1)));
+    EXPECT_EQ((key.qinv * key.q) % key.p, BigInt(1));
+    const BigInt n_minus_1 = key.n - BigInt(1);
+    // Random c < n, the extremes, and multiples of each prime (not coprime
+    // to n, where CRT must still agree).
+    std::vector<BigInt> inputs = {BigInt(), BigInt(1), n_minus_1, key.p,
+                                  key.q * BigInt(2)};
+    for (int i = 0; i < 6; ++i) {
+      inputs.push_back(BigInt::random_below(
+          key.n, [&](std::span<std::uint8_t> out) { drbg.generate(out); }));
+    }
+    for (const BigInt& c : inputs) {
+      EXPECT_EQ(rsa_decrypt_raw(key, c), reference_modexp(c, key.d, key.n));
+    }
+  }
+}
+
+TEST(Rsa, LargestModulusRoundTrips) {
+  // 2048 bits fills BigInt's capacity: n, and every CRT intermediate, must
+  // stay within it.
+  CtrDrbg drbg(std::uint64_t{717});
+  const RsaKeyPair kp = rsa_generate(2048, drbg);
+  EXPECT_EQ(kp.public_key.n.bit_length(), 2048u);
+  const auto secret = ascii_bytes("partition-key-01");
+  const auto ct = rsa_encrypt(kp.public_key, secret, drbg);
+  EXPECT_EQ(rsa_decrypt(kp.private_key, ct), secret);
+  const BigInt c = BigInt::from_bytes_be(ct);
+  EXPECT_EQ(rsa_decrypt_raw(kp.private_key, c),
+            BigInt::modexp(c, kp.private_key.d, kp.public_key.n));
+  EXPECT_THROW((void)rsa_generate(2050, drbg), std::invalid_argument);
+}
+
+// --- allocations -------------------------------------------------------------
+// BigInt keeps its limbs inline, so a keypair, a wrap and an unwrap allocate
+// only what they return (a ciphertext or plaintext vector).
+
+TEST(RsaAllocations, KeygenEncryptDecryptStayWithinBudget) {
+  CtrDrbg drbg(std::uint64_t{716});
+  const auto secret = ascii_bytes("16-byte-secret!!");
+
+  std::uint64_t before = alloc_count();
+  const RsaKeyPair kp = rsa_generate(256, drbg);
+  const std::uint64_t keygen_allocs = alloc_count() - before;
+
+  before = alloc_count();
+  const auto ct = rsa_encrypt(kp.public_key, secret, drbg);
+  const std::uint64_t encrypt_allocs = alloc_count() - before;
+
+  before = alloc_count();
+  const auto pt = rsa_decrypt(kp.private_key, ct);
+  const std::uint64_t decrypt_allocs = alloc_count() - before;
+
+  ASSERT_TRUE(pt.has_value());
+  EXPECT_EQ(*pt, secret);
+  EXPECT_LE(keygen_allocs, 1000u) << "rsa_generate(256)";
+  EXPECT_LE(encrypt_allocs, 8u) << "256-bit rsa_encrypt";
+  EXPECT_LE(decrypt_allocs, 8u) << "256-bit rsa_decrypt";
 }
 
 class RsaModulusSweep : public ::testing::TestWithParam<std::size_t> {};
