@@ -2,6 +2,9 @@
 
 #include <array>
 
+#include "common/annotations.h"
+#include "crypto/crc_fold.h"
+
 namespace ibsec::crypto {
 namespace {
 
@@ -38,8 +41,33 @@ constexpr Tables make_tables() {
 
 const Tables kTables = make_tables();
 
-std::uint16_t update_slice8(std::uint16_t crc,
-                            std::span<const std::uint8_t> data) {
+using UpdateFn = std::uint16_t (*)(std::uint16_t,
+                                   std::span<const std::uint8_t>);
+
+UpdateFn pick_kernel() {
+#if defined(__x86_64__)
+  if (detail::crc_pclmul_supported()) return &detail::crc16_iba_update_pclmul;
+#endif
+  return &detail::crc16_iba_update_scalar;
+}
+
+/// Short updates run the table kernel inline; longer ones the kernel this
+/// CPU runs, chosen on first use and fixed for the process.
+std::uint16_t dispatch(std::uint16_t crc,
+                       std::span<const std::uint8_t> data) {
+  if (data.size() < detail::kCrcFoldMinBytes) {
+    return detail::crc16_iba_update_scalar(crc, data);
+  }
+  static const UpdateFn kernel = pick_kernel();
+  return kernel(crc, data);
+}
+
+}  // namespace
+
+namespace detail {
+
+std::uint16_t crc16_iba_update_scalar(std::uint16_t crc,
+                                      std::span<const std::uint8_t> data) {
   const auto& t = kTables.t;
   std::size_t i = 0;
   const std::size_t n = data.size();
@@ -61,14 +89,30 @@ std::uint16_t update_slice8(std::uint16_t crc,
   return crc;
 }
 
-}  // namespace
+#if defined(__x86_64__)
 
-std::uint16_t crc16_iba(std::span<const std::uint8_t> data) {
-  return static_cast<std::uint16_t>(update_slice8(0xFFFFu, data) ^ 0xFFFFu);
+constexpr CrcFoldKeys kFoldKeys = crc_fold_keys(kPolyReflected, 16);
+
+std::uint16_t crc16_iba_update_pclmul(std::uint16_t crc,
+                                      std::span<const std::uint8_t> data) {
+  if (data.size() < kCrcFoldMinBytes) {
+    return crc16_iba_update_scalar(crc, data);
+  }
+  std::array<std::uint8_t, 16> residue{};
+  const auto tail = crc_fold_pclmul(crc, data, kFoldKeys, residue);
+  return crc16_iba_update_scalar(crc16_iba_update_scalar(0, residue), tail);
 }
 
-void Crc16Iba::update(std::span<const std::uint8_t> data) {
-  state_ = update_slice8(state_, data);
+#endif  // __x86_64__
+
+}  // namespace detail
+
+std::uint16_t crc16_iba(std::span<const std::uint8_t> data) {
+  return static_cast<std::uint16_t>(dispatch(0xFFFFu, data) ^ 0xFFFFu);
+}
+
+IBSEC_HOT void Crc16Iba::update(std::span<const std::uint8_t> data) {
+  state_ = dispatch(state_, data);
 }
 
 std::uint16_t crc16_iba_reference(std::span<const std::uint8_t> data) {

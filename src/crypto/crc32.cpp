@@ -2,6 +2,9 @@
 
 #include <array>
 
+#include "common/annotations.h"
+#include "crypto/crc_fold.h"
+
 namespace ibsec::crypto {
 namespace {
 
@@ -33,8 +36,33 @@ constexpr Tables make_tables() {
 
 const Tables kTables = make_tables();
 
-std::uint32_t update_slice8(std::uint32_t crc,
-                            std::span<const std::uint8_t> data) {
+using UpdateFn = std::uint32_t (*)(std::uint32_t,
+                                   std::span<const std::uint8_t>);
+
+UpdateFn pick_kernel() {
+#if defined(__x86_64__)
+  if (detail::crc_pclmul_supported()) return &detail::crc32_update_pclmul;
+#endif
+  return &detail::crc32_update_scalar;
+}
+
+/// Short updates run the table kernel inline; longer ones the kernel this
+/// CPU runs, chosen on first use and fixed for the process.
+std::uint32_t dispatch(std::uint32_t crc,
+                       std::span<const std::uint8_t> data) {
+  if (data.size() < detail::kCrcFoldMinBytes) {
+    return detail::crc32_update_scalar(crc, data);
+  }
+  static const UpdateFn kernel = pick_kernel();
+  return kernel(crc, data);
+}
+
+}  // namespace
+
+namespace detail {
+
+std::uint32_t crc32_update_scalar(std::uint32_t crc,
+                                  std::span<const std::uint8_t> data) {
   const auto& t = kTables.t;
   std::size_t i = 0;
   const std::size_t n = data.size();
@@ -55,14 +83,34 @@ std::uint32_t update_slice8(std::uint32_t crc,
   return crc;
 }
 
-}  // namespace
+#if defined(__x86_64__)
 
-void Crc32::update(std::span<const std::uint8_t> data) {
-  state_ = update_slice8(state_, data);
+constexpr CrcFoldKeys kFoldKeys = crc_fold_keys(kPolyReflected, 32);
+// The derivation reproduces the multipliers published for this polynomial
+// (Gopal et al., Intel 2009).
+static_assert(kFoldKeys.k512_lo == 0x0154442bd4 &&
+              kFoldKeys.k512_hi == 0x01c6e41596 &&
+              kFoldKeys.k128_lo == 0x01751997d0 &&
+              kFoldKeys.k128_hi == 0x00ccaa009e);
+
+std::uint32_t crc32_update_pclmul(std::uint32_t crc,
+                                  std::span<const std::uint8_t> data) {
+  if (data.size() < kCrcFoldMinBytes) return crc32_update_scalar(crc, data);
+  std::array<std::uint8_t, 16> residue{};
+  const auto tail = crc_fold_pclmul(crc, data, kFoldKeys, residue);
+  return crc32_update_scalar(crc32_update_scalar(0, residue), tail);
+}
+
+#endif  // __x86_64__
+
+}  // namespace detail
+
+IBSEC_HOT void Crc32::update(std::span<const std::uint8_t> data) {
+  state_ = dispatch(state_, data);
 }
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  return update_slice8(0xFFFFFFFFu, data) ^ 0xFFFFFFFFu;
+  return dispatch(0xFFFFFFFFu, data) ^ 0xFFFFFFFFu;
 }
 
 std::uint32_t crc32_reference(std::span<const std::uint8_t> data) {

@@ -1,10 +1,15 @@
 // CRC-32 (IEEE 802.3 polynomial 0x04C11DB7, reflected form 0xEDB88320).
 //
 // This is the polynomial the InfiniBand Architecture uses for the Invariant
-// CRC (ICRC). Two implementations are provided behind one interface: a
-// classic byte-at-a-time table and a slice-by-8 variant used on the hot
-// simulation/benchmark path. The paper's Table 4 lists CRC-32 as the
-// throughput baseline the MAC candidates are compared against.
+// CRC (ICRC). The paper's Table 4 lists CRC-32 as the throughput baseline
+// the MAC candidates are compared against.
+//
+// Crc32 has two kernels: a slice-by-8 table (the reference for the fast
+// path, and the fallback) and, on x86-64 CPUs with PCLMULQDQ, the
+// carry-less-multiply folding of crypto/crc_fold.h. Updates of 64 bytes and
+// more go to the kernel picked once per process from CPUID; shorter ones,
+// and every update on other CPUs, run the table. A byte-at-a-time
+// reference stays for differential tests.
 #pragma once
 
 #include <cstdint>
@@ -28,11 +33,28 @@ class Crc32 {
   std::uint32_t state_ = 0xFFFFFFFFu;
 };
 
-/// One-shot convenience (slice-by-8).
+/// One-shot convenience (same kernels as Crc32).
 std::uint32_t crc32(std::span<const std::uint8_t> data);
 
 /// Byte-at-a-time reference implementation, kept for differential testing
-/// against the slice-by-8 path.
+/// against the fast kernels.
 std::uint32_t crc32_reference(std::span<const std::uint8_t> data);
+
+namespace detail {
+
+/// The kernels behind Crc32, declared so the tests and the Table 4 bench
+/// can run each one directly. Each advances a raw state (before the final
+/// XOR) over `data`.
+std::uint32_t crc32_update_scalar(std::uint32_t state,
+                                  std::span<const std::uint8_t> data);
+
+#if defined(__x86_64__)
+/// PCLMULQDQ folding, any length (under 64 bytes it runs the table); call
+/// only when crc_pclmul_supported().
+std::uint32_t crc32_update_pclmul(std::uint32_t state,
+                                  std::span<const std::uint8_t> data);
+#endif
+
+}  // namespace detail
 
 }  // namespace ibsec::crypto

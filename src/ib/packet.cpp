@@ -1,76 +1,65 @@
 #include "ib/packet.h"
 
+#include <array>
+
+#include "common/annotations.h"
 #include "crypto/crc16.h"
 #include "crypto/crc32.h"
 
 namespace ibsec::ib {
 namespace {
 
-// Streams the packet body (headers, optionally ICRC-masked, then payload)
-// into `sink` piecewise: each header is serialized into a stack buffer and
-// handed over, the payload is handed over in place. Every body consumer —
-// materializing into a vector, or feeding an incremental CRC — goes through
-// this one function, so the byte stream is identical by construction.
-template <class Sink>
-void stream_body(const Packet& pkt, bool masked, Sink&& sink) {
-  std::uint8_t buf[Grh::kWireSize];  // large enough for every header
+// Room for every header a packet can carry at once.
+constexpr std::size_t kMaxHeaderBytes = Lrh::kWireSize + Grh::kWireSize +
+                                        Bth::kWireSize + Deth::kWireSize +
+                                        Reth::kWireSize + Aeth::kWireSize;
+using HeaderBuf = std::array<std::uint8_t, kMaxHeaderBytes>;
 
-  pkt.lrh.serialize(std::span<std::uint8_t, Lrh::kWireSize>(buf,
-                                                            Lrh::kWireSize));
+template <class Header>
+std::uint8_t* put(const Header& header, std::uint8_t* out) {
+  header.serialize(std::span<std::uint8_t, Header::kWireSize>(
+      out, Header::kWireSize));
+  return out + Header::kWireSize;
+}
+
+// Serializes every header into `buf`, optionally with the ICRC masking
+// applied, and returns the bytes written. Every body consumer — the two
+// CRCs, icrc_covered_into and serialize — takes the headers from here and
+// the payload in place, so the byte stream is identical by construction.
+std::span<const std::uint8_t> write_headers(const Packet& pkt, bool masked,
+                                            HeaderBuf& buf) {
+  std::uint8_t* p = put(pkt.lrh, buf.data());
   if (masked) {
     buf[0] |= 0xF0;  // LRH.VL nibble -> ones
   }
-  sink(std::span<const std::uint8_t>(buf, Lrh::kWireSize));
-
   if (pkt.grh) {
-    pkt.grh->serialize(std::span<std::uint8_t, Grh::kWireSize>(
-        buf, Grh::kWireSize));
+    std::uint8_t* grh = p;
+    p = put(*pkt.grh, p);
     if (masked) {
       // tclass + flow_label live in bytes 0..3 (with ip_ver in the top
       // nibble of byte 0); hop_limit is byte 7 (IBA 7.8.1 / 9.8).
-      buf[0] |= 0x0F;
-      buf[1] = 0xFF;
-      buf[2] = 0xFF;
-      buf[3] = 0xFF;
-      buf[7] = 0xFF;
+      grh[0] |= 0x0F;
+      grh[1] = 0xFF;
+      grh[2] = 0xFF;
+      grh[3] = 0xFF;
+      grh[7] = 0xFF;
     }
-    sink(std::span<const std::uint8_t>(buf, Grh::kWireSize));
   }
-
-  pkt.bth.serialize(std::span<std::uint8_t, Bth::kWireSize>(buf,
-                                                            Bth::kWireSize));
+  std::uint8_t* bth = p;
+  p = put(pkt.bth, p);
   if (masked) {
-    buf[4] = 0xFF;  // BTH.resv8a — where the auth algorithm id rides
+    bth[4] = 0xFF;  // BTH.resv8a — where the auth algorithm id rides
   }
-  sink(std::span<const std::uint8_t>(buf, Bth::kWireSize));
-
-  if (pkt.deth) {
-    pkt.deth->serialize(std::span<std::uint8_t, Deth::kWireSize>(
-        buf, Deth::kWireSize));
-    sink(std::span<const std::uint8_t>(buf, Deth::kWireSize));
-  }
-  if (pkt.reth) {
-    pkt.reth->serialize(std::span<std::uint8_t, Reth::kWireSize>(
-        buf, Reth::kWireSize));
-    sink(std::span<const std::uint8_t>(buf, Reth::kWireSize));
-  }
-  if (pkt.aeth) {
-    pkt.aeth->serialize(std::span<std::uint8_t, Aeth::kWireSize>(
-        buf, Aeth::kWireSize));
-    sink(std::span<const std::uint8_t>(buf, Aeth::kWireSize));
-  }
-
-  if (!pkt.payload.empty()) {
-    sink(std::span<const std::uint8_t>(pkt.payload.data(),
-                                       pkt.payload.size()));
-  }
+  if (pkt.deth) p = put(*pkt.deth, p);
+  if (pkt.reth) p = put(*pkt.reth, p);
+  if (pkt.aeth) p = put(*pkt.aeth, p);
+  return {buf.data(), p};
 }
 
-void append_icrc_be(std::vector<std::uint8_t>& out, std::uint32_t icrc) {
-  out.push_back(static_cast<std::uint8_t>(icrc >> 24));
-  out.push_back(static_cast<std::uint8_t>(icrc >> 16));
-  out.push_back(static_cast<std::uint8_t>(icrc >> 8));
-  out.push_back(static_cast<std::uint8_t>(icrc));
+std::array<std::uint8_t, 4> icrc_be(std::uint32_t icrc) {
+  return {static_cast<std::uint8_t>(icrc >> 24),
+          static_cast<std::uint8_t>(icrc >> 16),
+          static_cast<std::uint8_t>(icrc >> 8), static_cast<std::uint8_t>(icrc)};
 }
 
 bool known_opcode(std::uint8_t raw) {
@@ -104,71 +93,29 @@ std::size_t Packet::wire_size() const {
   return headers_size() + payload.size() + 4 /*ICRC*/ + 2 /*VCRC*/;
 }
 
-void Packet::append_body(std::vector<std::uint8_t>& out, bool masked) const {
-  stream_body(*this, masked, [&out](std::span<const std::uint8_t> piece) {
-    out.insert(out.end(), piece.begin(), piece.end());
-  });
-}
-
-void Packet::serialize_body(std::vector<std::uint8_t>& out,
-                            bool masked) const {
-  out.clear();
-  out.reserve(headers_size() + payload.size());
-  append_body(out, masked);
-}
-
 void Packet::icrc_covered_into(std::vector<std::uint8_t>& out) const {
-  serialize_body(out, /*masked=*/true);
-}
-
-void Packet::vcrc_covered_into(std::vector<std::uint8_t>& out) const {
+  HeaderBuf buf;
+  const auto headers = write_headers(*this, /*masked=*/true, buf);
   out.clear();
-  out.reserve(headers_size() + payload.size() + 4);
-  append_body(out, /*masked=*/false);
-  append_icrc_be(out, icrc);
+  out.reserve(headers.size() + payload.size());
+  out.insert(out.end(), headers.begin(), headers.end());
+  out.insert(out.end(), payload.begin(), payload.end());
 }
 
-void Packet::serialize_into(std::vector<std::uint8_t>& out) const {
-  out.clear();
-  out.reserve(wire_size());
-  append_body(out, /*masked=*/false);
-  append_icrc_be(out, icrc);
-  out.push_back(static_cast<std::uint8_t>(vcrc >> 8));
-  out.push_back(static_cast<std::uint8_t>(vcrc));
-}
-
-std::vector<std::uint8_t> Packet::icrc_covered_bytes() const {
-  std::vector<std::uint8_t> out;
-  icrc_covered_into(out);
-  return out;
-}
-
-std::vector<std::uint8_t> Packet::vcrc_covered_bytes() const {
-  std::vector<std::uint8_t> out;
-  vcrc_covered_into(out);
-  return out;
-}
-
-std::uint32_t Packet::compute_icrc() const {
+IBSEC_HOT std::uint32_t Packet::compute_icrc() const {
+  HeaderBuf buf;
   crypto::Crc32 crc;
-  stream_body(*this, /*masked=*/true,
-              [&crc](std::span<const std::uint8_t> piece) {
-                crc.update(piece);
-              });
+  crc.update(write_headers(*this, /*masked=*/true, buf));
+  crc.update(payload);
   return crc.value();
 }
 
-std::uint16_t Packet::compute_vcrc() const {
+IBSEC_HOT std::uint16_t Packet::compute_vcrc() const {
+  HeaderBuf buf;
   crypto::Crc16Iba crc;
-  stream_body(*this, /*masked=*/false,
-              [&crc](std::span<const std::uint8_t> piece) {
-                crc.update(piece);
-              });
-  const std::uint8_t trailer[4] = {static_cast<std::uint8_t>(icrc >> 24),
-                                   static_cast<std::uint8_t>(icrc >> 16),
-                                   static_cast<std::uint8_t>(icrc >> 8),
-                                   static_cast<std::uint8_t>(icrc)};
-  crc.update(trailer);
+  crc.update(write_headers(*this, /*masked=*/false, buf));
+  crc.update(payload);
+  crc.update(icrc_be(icrc));
   return crc.value();
 }
 
@@ -185,8 +132,16 @@ void Packet::finalize() {
 }
 
 std::vector<std::uint8_t> Packet::serialize() const {
+  HeaderBuf buf;
+  const auto headers = write_headers(*this, /*masked=*/false, buf);
   std::vector<std::uint8_t> out;
-  serialize_into(out);
+  out.reserve(wire_size());
+  out.insert(out.end(), headers.begin(), headers.end());
+  out.insert(out.end(), payload.begin(), payload.end());
+  const auto trailer = icrc_be(icrc);
+  out.insert(out.end(), trailer.begin(), trailer.end());
+  out.push_back(static_cast<std::uint8_t>(vcrc >> 8));
+  out.push_back(static_cast<std::uint8_t>(vcrc));
   return out;
 }
 

@@ -1,12 +1,14 @@
 // Tests for CRC-32 (ICRC polynomial) and CRC-16-IBA (VCRC polynomial):
 // published check values, incremental/one-shot equivalence, and differential
-// testing of the slice-by-8 path against the bit/byte-at-a-time references.
+// testing of both kernels (slice-by-8 table, PCLMULQDQ folding) against the
+// bit/byte-at-a-time references.
 #include <gtest/gtest.h>
 
 #include "common/hex.h"
 #include "common/rng.h"
 #include "crypto/crc16.h"
 #include "crypto/crc32.h"
+#include "crypto/crc_fold.h"
 
 namespace ibsec::crypto {
 namespace {
@@ -85,6 +87,12 @@ TEST(Crc32, ValueIsPureFunctionOfPrefix) {
   EXPECT_EQ(c.value(), 0xCBF43926u);
 }
 
+TEST(Crc16Iba, StandardCheckValue) {
+  // CRC-16-IBA of "123456789" (0x100B, init/xorout 0xFFFF, reflected).
+  EXPECT_EQ(crc16_iba(ascii_bytes("123456789")), 0x0A3Du);
+  EXPECT_EQ(crc16_iba_reference(ascii_bytes("123456789")), 0x0A3Du);
+}
+
 TEST(Crc16Iba, MatchesReferenceImplementation) {
   Rng rng(104);
   for (int trial = 0; trial < 200; ++trial) {
@@ -122,7 +130,7 @@ TEST(Crc16Iba, DistinctFromCrc32Semantics) {
 
 // Property sweep: appending bytes always changes the stream state in a way
 // consistent between implementations, across many lengths including the
-// slice-by-8 boundary cases.
+// slice-by-8 boundary cases and the 64-byte switch to the folding kernel.
 class CrcLengthSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(CrcLengthSweep, SliceBy8AgreesWithReferenceAtBoundary) {
@@ -139,6 +147,139 @@ INSTANTIATE_TEST_SUITE_P(Boundaries, CrcLengthSweep,
                                            16, 17, 23, 24, 25, 31, 32, 33, 63,
                                            64, 65, 127, 128, 129, 1023, 1024,
                                            1025));
+
+// --- kernels, called directly -------------------------------------------------
+
+// Each polynomial's raw state type, init/xorout constant, reference and
+// kernels, so one set of checks covers both.
+struct Crc32Poly {
+  using State = std::uint32_t;
+  static constexpr State kInit = 0xFFFFFFFFu;
+  static constexpr auto reference = &crc32_reference;
+  static constexpr auto scalar = &detail::crc32_update_scalar;
+#if defined(__x86_64__)
+  static constexpr auto pclmul = &detail::crc32_update_pclmul;
+#endif
+  using Stream = Crc32;
+};
+
+struct Crc16Poly {
+  using State = std::uint16_t;
+  static constexpr State kInit = 0xFFFFu;
+  static constexpr auto reference = &crc16_iba_reference;
+  static constexpr auto scalar = &detail::crc16_iba_update_scalar;
+#if defined(__x86_64__)
+  static constexpr auto pclmul = &detail::crc16_iba_update_pclmul;
+#endif
+  using Stream = Crc16Iba;
+};
+
+template <class P>
+using Kernel = typename P::State (*)(typename P::State,
+                                     std::span<const std::uint8_t>);
+
+template <class P>
+typename P::State final_value(typename P::State state) {
+  return static_cast<typename P::State>(state ^ P::kInit);
+}
+
+constexpr std::size_t kMaxLength = 1100;
+
+const std::vector<std::uint8_t>& kernel_data() {
+  static const std::vector<std::uint8_t> data = [] {
+    Rng rng(3501);
+    std::vector<std::uint8_t> bytes(kMaxLength + 16);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_u32());
+    return bytes;
+  }();
+  return data;
+}
+
+// Every length 0..kMaxLength at every start offset within 16 bytes, so the
+// 64- and 16-byte folds, the residue and the tail all meet unaligned input.
+template <class P>
+void expect_matches_reference_everywhere(Kernel<P> kernel) {
+  const auto& data = kernel_data();
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= kMaxLength; ++len) {
+      const auto message = std::span(data).subspan(offset, len);
+      const auto got = final_value<P>(kernel(P::kInit, message));
+      if (got != P::reference(message)) {
+        ADD_FAILURE() << "offset " << offset << " length " << len;
+        return;
+      }
+    }
+  }
+}
+
+// Two-piece updates cut at every offset mod 64 from either end: a short
+// scalar head hands its state to a long `kernel` update, and a long
+// `kernel` head hands its state to a short scalar tail.
+template <class P>
+void expect_state_hands_over(Kernel<P> kernel) {
+  const auto message = std::span(kernel_data()).first(kMaxLength);
+  const auto want = P::reference(message);
+  for (std::size_t cut = 0; cut < 64; ++cut) {
+    const auto head = P::scalar(P::kInit, message.first(cut));
+    EXPECT_EQ(final_value<P>(kernel(head, message.subspan(cut))), want)
+        << "scalar head of " << cut;
+    const std::size_t long_cut = message.size() - cut;
+    const auto long_head = kernel(P::kInit, message.first(long_cut));
+    EXPECT_EQ(final_value<P>(P::scalar(long_head, message.subspan(long_cut))),
+              want)
+        << "scalar tail of " << cut;
+  }
+}
+
+TEST(CrcKernels, ScalarMatchesReferenceAtEveryLengthAndOffset) {
+  expect_matches_reference_everywhere<Crc32Poly>(Crc32Poly::scalar);
+  expect_matches_reference_everywhere<Crc16Poly>(Crc16Poly::scalar);
+}
+
+TEST(CrcKernels, PclmulMatchesReferenceAtEveryLengthAndOffset) {
+#if defined(__x86_64__)
+  if (!detail::crc_pclmul_supported()) {
+    GTEST_SKIP() << "this CPU lacks PCLMULQDQ; the CRCs run the table kernel";
+  }
+  expect_matches_reference_everywhere<Crc32Poly>(Crc32Poly::pclmul);
+  expect_matches_reference_everywhere<Crc16Poly>(Crc16Poly::pclmul);
+#else
+  GTEST_SKIP() << "the PCLMULQDQ kernel is built for x86-64 only";
+#endif
+}
+
+TEST(CrcKernels, PclmulAndScalarHandStateOverAtEveryCut) {
+#if defined(__x86_64__)
+  if (!detail::crc_pclmul_supported()) {
+    GTEST_SKIP() << "this CPU lacks PCLMULQDQ; the CRCs run the table kernel";
+  }
+  expect_state_hands_over<Crc32Poly>(Crc32Poly::pclmul);
+  expect_state_hands_over<Crc16Poly>(Crc16Poly::pclmul);
+#else
+  GTEST_SKIP() << "the PCLMULQDQ kernel is built for x86-64 only";
+#endif
+}
+
+// The public classes, whatever kernel this CPU dispatched: two updates cut
+// at every offset mod 64 from either end.
+template <class P>
+void expect_stream_matches_reference_at_every_cut() {
+  const auto message = std::span(kernel_data()).first(kMaxLength);
+  const auto want = P::reference(message);
+  for (std::size_t cut = 0; cut < 64; ++cut) {
+    for (const std::size_t at : {cut, message.size() - cut}) {
+      typename P::Stream stream;
+      stream.update(message.first(at));
+      stream.update(message.subspan(at));
+      EXPECT_EQ(stream.value(), want) << "cut at " << at;
+    }
+  }
+}
+
+TEST(CrcKernels, DispatchedStreamsMatchReferenceAtEveryCut) {
+  expect_stream_matches_reference_at_every_cut<Crc32Poly>();
+  expect_stream_matches_reference_at_every_cut<Crc16Poly>();
+}
 
 }  // namespace
 }  // namespace ibsec::crypto

@@ -5,12 +5,13 @@
 //      declared capacity (which the hot call sites static_assert against).
 //   2. PacketPool recycles the slots that park packets between devices.
 //   3. The streaming serialization / CRC / MAC paths produce byte- and
-//      tag-identical results to the materializing APIs they replaced —
+//      tag-identical results to materializing the covered bytes (the wire
+//      image from serialize(), masked for the ICRC) and hashing them —
 //      property-tested over randomized packets with a seeded Rng, so the
 //      equivalence holds across header combinations and payload sizes, not
 //      just the golden packets other suites pin.
-//   4. The event-scheduling steady state performs zero heap allocations,
-//      measured with the global allocation probe.
+//   4. The event-scheduling steady state and the packet CRCs perform zero
+//      heap allocations, measured with the global allocation probe.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -311,29 +312,49 @@ ib::Packet random_packet(Rng& rng) {
   return pkt;
 }
 
+// The ICRC's variant-field masking, restated over a wire image: LRH.VL
+// nibble, GRH tclass/flow_label/hop_limit and BTH.resv8a become one-bits.
+void mask_variant_fields(const ib::Packet& pkt,
+                         std::vector<std::uint8_t>& bytes) {
+  bytes[0] |= 0xF0;
+  std::size_t bth = ib::Lrh::kWireSize;
+  if (pkt.grh) {
+    const std::size_t grh = ib::Lrh::kWireSize;
+    bytes[grh] |= 0x0F;
+    for (const std::size_t i : {1u, 2u, 3u, 7u}) bytes[grh + i] = 0xFF;
+    bth += ib::Grh::kWireSize;
+  }
+  bytes[bth + 4] = 0xFF;
+}
+
 TEST(StreamingEquivalence, ScratchSerializersMatchMaterializers) {
   Rng rng(0xC0FFEE);
   std::vector<std::uint8_t> scratch;  // reused across packets, as on the hot path
   for (int trial = 0; trial < 200; ++trial) {
     const ib::Packet pkt = random_packet(rng);
-    pkt.serialize_into(scratch);
-    EXPECT_EQ(scratch, pkt.serialize());
-    EXPECT_EQ(scratch.size(), pkt.wire_size());
+    const auto wire = pkt.serialize();
+    EXPECT_EQ(wire.size(), pkt.wire_size());
+    // The ICRC covers the wire image up to the ICRC field, masked.
+    std::vector<std::uint8_t> want(wire.begin(), wire.end() - 6);
+    mask_variant_fields(pkt, want);
     pkt.icrc_covered_into(scratch);
-    EXPECT_EQ(scratch, pkt.icrc_covered_bytes());
-    pkt.vcrc_covered_into(scratch);
-    EXPECT_EQ(scratch, pkt.vcrc_covered_bytes());
+    EXPECT_EQ(scratch, want);
   }
 }
 
 TEST(StreamingEquivalence, IncrementalCrcsMatchCoveredByteHashes) {
   Rng rng(0xBEEF01);
+  std::vector<std::uint8_t> covered;
   for (int trial = 0; trial < 200; ++trial) {
     const ib::Packet pkt = random_packet(rng);
-    // The pre-refactor implementations: materialize the covered bytes, then
-    // one-shot hash them.
-    EXPECT_EQ(pkt.compute_icrc(), crypto::crc32(pkt.icrc_covered_bytes()));
-    EXPECT_EQ(pkt.compute_vcrc(), crypto::crc16_iba(pkt.vcrc_covered_bytes()));
+    // Materialize what each CRC covers, then hash it with the reference:
+    // the ICRC its masked body, the VCRC the wire image up to the VCRC.
+    pkt.icrc_covered_into(covered);
+    EXPECT_EQ(pkt.compute_icrc(), crypto::crc32_reference(covered));
+    const auto wire = pkt.serialize();
+    EXPECT_EQ(pkt.compute_vcrc(),
+              crypto::crc16_iba_reference(
+                  std::span(wire).first(wire.size() - 2)));
   }
 }
 
@@ -466,7 +487,9 @@ TEST(StreamingEquivalence, EveryMacAlgorithmVerifiesItsOwnPacketTags) {
       const ib::Packet pkt = random_packet(rng);
       pkt.icrc_covered_into(scratch);
       const std::uint32_t tag = mac->tag32(scratch, pkt.bth.psn);
-      EXPECT_EQ(tag, mac->tag32(pkt.icrc_covered_bytes(), pkt.bth.psn));
+      std::vector<std::uint8_t> fresh;
+      pkt.icrc_covered_into(fresh);
+      EXPECT_EQ(tag, mac->tag32(fresh, pkt.bth.psn));
       EXPECT_TRUE(mac->verify(scratch, pkt.bth.psn, tag));
     }
   }
@@ -525,6 +548,28 @@ TEST(ZeroAllocSteadyState, SelfReschedulingEventsAllocateNothing) {
   EXPECT_EQ(allocs_after - allocs_before, 0u)
       << "scheduling/dispatching " << (fired_after - fired_before)
       << " events allocated " << (allocs_after - allocs_before) << " times";
+}
+
+// Computing and checking both CRCs is heap-free, on a packet whose pieces
+// all take the table kernel (64 B) and on one whose payload folds (1 KB).
+TEST(ZeroAllocSteadyState, PacketCrcsAllocateNothing) {
+  for (const std::size_t wire_size : {std::size_t{64}, std::size_t{1024}}) {
+    ib::Packet pkt;
+    pkt.bth.opcode = ib::OpCode::kUdSendOnly;
+    pkt.deth = ib::Deth{0x1234, 7};
+    pkt.payload.resize(wire_size - pkt.wire_size(), 0x5A);
+    ASSERT_EQ(pkt.wire_size(), wire_size);
+
+    const std::uint64_t before = alloc_count();
+    pkt.finalize();
+    const bool icrc_ok = pkt.icrc_valid();
+    const bool vcrc_ok = pkt.vcrc_valid();
+    const std::uint64_t allocs = alloc_count() - before;
+
+    EXPECT_TRUE(icrc_ok);
+    EXPECT_TRUE(vcrc_ok);
+    EXPECT_EQ(allocs, 0u) << wire_size << " B packet";
+  }
 }
 
 }  // namespace

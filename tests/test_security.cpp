@@ -17,6 +17,13 @@ using ib::PacketMeta;
 using transport::ChannelAdapter;
 using transport::ServiceType;
 
+// The bytes the Authentication Tag covers, as AuthEngine hashes them.
+std::vector<std::uint8_t> covered(const ib::Packet& pkt) {
+  std::vector<std::uint8_t> out;
+  pkt.icrc_covered_into(out);
+  return out;
+}
+
 struct SecurityFixture : public ::testing::Test {
   SecurityFixture() {
     fabric::FabricConfig cfg;
@@ -117,8 +124,7 @@ TEST_F(SecurityFixture, PartitionMembersDeriveSameMac) {
   const auto* mac_b = b.rx_mac(pkt);
   ASSERT_NE(mac_a, nullptr);
   ASSERT_NE(mac_b, nullptr);
-  EXPECT_EQ(mac_a->tag32(pkt.icrc_covered_bytes(), 9),
-            mac_b->tag32(pkt.icrc_covered_bytes(), 9));
+  EXPECT_EQ(mac_a->tag32(covered(pkt), 9), mac_b->tag32(covered(pkt), 9));
 }
 
 TEST_F(SecurityFixture, PartitionLookupIgnoresMembershipBit) {
@@ -168,8 +174,7 @@ TEST_F(SecurityFixture, RcSecretEstablishedBySender) {
   const auto* rx = km2.rx_mac(pkt);
   ASSERT_NE(tx, nullptr);
   ASSERT_NE(rx, nullptr);
-  EXPECT_EQ(tx->tag32(pkt.icrc_covered_bytes(), 0),
-            rx->tag32(pkt.icrc_covered_bytes(), 0));
+  EXPECT_EQ(tx->tag32(covered(pkt), 0), rx->tag32(covered(pkt), 0));
 }
 
 TEST_F(SecurityFixture, UdQkeyExchangeDeliversKeyAndSecret) {
@@ -206,8 +211,7 @@ TEST_F(SecurityFixture, UdQkeyExchangeDeliversKeyAndSecret) {
   const auto* rx = km3.rx_mac(pkt);
   ASSERT_NE(tx, nullptr);
   ASSERT_NE(rx, nullptr);
-  EXPECT_EQ(tx->tag32(pkt.icrc_covered_bytes(), 5),
-            rx->tag32(pkt.icrc_covered_bytes(), 5));
+  EXPECT_EQ(tx->tag32(covered(pkt), 5), rx->tag32(covered(pkt), 5));
 }
 
 TEST_F(SecurityFixture, EachRequesterGetsDistinctSecret) {
@@ -236,8 +240,7 @@ TEST_F(SecurityFixture, EachRequesterGetsDistinctSecret) {
   const auto* mac1 = km1.tx_mac(pkt);
   ASSERT_NE(mac0, nullptr);
   ASSERT_NE(mac1, nullptr);
-  EXPECT_NE(mac0->tag32(pkt.icrc_covered_bytes(), 1),
-            mac1->tag32(pkt.icrc_covered_bytes(), 1));
+  EXPECT_NE(mac0->tag32(covered(pkt), 1), mac1->tag32(covered(pkt), 1));
 }
 
 TEST_F(SecurityFixture, UnknownStreamsHaveNoMac) {
@@ -520,7 +523,7 @@ TEST_F(SecurityFixture, RotationEvictsCompromisedKeyHolder) {
   pkt.bth.pkey = 0x8400;
   pkt.payload = ascii_bytes("post-rotation");
   pkt.set_lengths();
-  const auto bytes = pkt.icrc_covered_bytes();
+  const auto bytes = covered(pkt);
   ASSERT_NE(keys0.tx_mac(pkt), nullptr);
   ASSERT_NE(keys2.tx_mac(pkt), nullptr);
   EXPECT_EQ(keys0.tx_mac(pkt)->tag32(bytes, 1),
