@@ -1,6 +1,14 @@
 #include "crypto/aes128.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "common/annotations.h"
+#include "crypto/cpu.h"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace ibsec::crypto {
 namespace {
@@ -55,22 +63,8 @@ constexpr std::array<std::uint8_t, 11> kRcon = {0x00, 0x01, 0x02, 0x04,
                                                 0x08, 0x10, 0x20, 0x40,
                                                 0x80, 0x1B, 0x36};
 
-std::uint32_t sub_word(std::uint32_t w) {
-  return static_cast<std::uint32_t>(kSbox[(w >> 24) & 0xFF]) << 24 |
-         static_cast<std::uint32_t>(kSbox[(w >> 16) & 0xFF]) << 16 |
-         static_cast<std::uint32_t>(kSbox[(w >> 8) & 0xFF]) << 8 |
-         static_cast<std::uint32_t>(kSbox[w & 0xFF]);
-}
-
-std::uint32_t rot_word(std::uint32_t w) { return (w << 8) | (w >> 24); }
-
-void add_round_key(std::uint8_t state[16], const std::uint32_t* rk) {
-  for (int c = 0; c < 4; ++c) {
-    state[4 * c + 0] ^= static_cast<std::uint8_t>(rk[c] >> 24);
-    state[4 * c + 1] ^= static_cast<std::uint8_t>(rk[c] >> 16);
-    state[4 * c + 2] ^= static_cast<std::uint8_t>(rk[c] >> 8);
-    state[4 * c + 3] ^= static_cast<std::uint8_t>(rk[c]);
-  }
+void add_round_key(std::uint8_t state[16], const std::uint8_t* rk) {
+  for (int i = 0; i < 16; ++i) state[i] ^= rk[i];
 }
 
 void sub_bytes(std::uint8_t state[16]) {
@@ -100,42 +94,143 @@ void mix_columns(std::uint8_t state[16]) {
   }
 }
 
+struct Kernels {
+  void (*expand)(Aes128::Key, Aes128::Schedule&);
+  Aes128::EncryptFn encrypt;
+};
+
+Kernels pick_kernels() {
+#if defined(__x86_64__)
+  if (cpu().aes_ni) {
+    return {&detail::aes128_expand_ni, &detail::aes128_encrypt_ni};
+  }
+#endif
+  return {&detail::aes128_expand_scalar, &detail::aes128_encrypt_scalar};
+}
+
+/// The kernels this CPU runs, chosen on first use and fixed for the process.
+const Kernels& kernels() {
+  static const Kernels picked = pick_kernels();
+  return picked;
+}
+
+#if defined(__x86_64__)
+
+inline __m128i load(const std::uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+inline void store(std::uint8_t* p, __m128i x) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), x);
+}
+
+// Round key i+1 from round key i. AESKEYGENASSIST leaves
+// SubWord(RotWord(w[4i+3])) ^ Rcon in its top lane; broadcast, it is XORed
+// onto the running prefix XOR of round key i's four words.
+template <int kRconByte>
+__attribute__((target("aes"))) inline __m128i next_round_key(__m128i key) {
+  const __m128i assist = _mm_shuffle_epi32(
+      _mm_aeskeygenassist_si128(key, kRconByte), 0xFF);
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  return _mm_xor_si128(key, assist);
+}
+
+#endif  // __x86_64__
+
 }  // namespace
 
-Aes128::Aes128(std::span<const std::uint8_t, kKeySize> key) {
-  for (int i = 0; i < 4; ++i) {
-    enc_keys_[static_cast<std::size_t>(i)] =
-        static_cast<std::uint32_t>(key[static_cast<std::size_t>(4 * i)]) << 24 |
-        static_cast<std::uint32_t>(key[static_cast<std::size_t>(4 * i + 1)])
-            << 16 |
-        static_cast<std::uint32_t>(key[static_cast<std::size_t>(4 * i + 2)])
-            << 8 |
-        static_cast<std::uint32_t>(key[static_cast<std::size_t>(4 * i + 3)]);
-  }
-  for (std::size_t i = 4; i < enc_keys_.size(); ++i) {
-    std::uint32_t temp = enc_keys_[i - 1];
-    if (i % 4 == 0) {
-      temp = sub_word(rot_word(temp)) ^
-             (static_cast<std::uint32_t>(kRcon[i / 4]) << 24);
+namespace detail {
+
+void aes128_expand_scalar(Aes128::Key key, Aes128::Schedule& schedule) {
+  std::uint8_t* w = schedule.data();  // w[4i..4i+3] is word i
+  std::copy(key.begin(), key.end(), w);
+  for (std::size_t i = 4; i < 4 * (Aes128::kRounds + 1); ++i) {
+    std::uint8_t temp[4] = {w[4 * i - 4], w[4 * i - 3], w[4 * i - 2],
+                            w[4 * i - 1]};
+    if (i % 4 == 0) {  // SubWord(RotWord(temp)) ^ Rcon
+      const std::uint8_t first = temp[0];
+      temp[0] = static_cast<std::uint8_t>(kSbox[temp[1]] ^ kRcon[i / 4]);
+      temp[1] = kSbox[temp[2]];
+      temp[2] = kSbox[temp[3]];
+      temp[3] = kSbox[first];
     }
-    enc_keys_[i] = enc_keys_[i - 4] ^ temp;
+    for (std::size_t j = 0; j < 4; ++j) {
+      w[4 * i + j] = static_cast<std::uint8_t>(w[4 * i + j - 16] ^ temp[j]);
+    }
   }
 }
 
-void Aes128::encrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
+void aes128_encrypt_scalar(const Aes128::Schedule& schedule,
+                           const std::uint8_t* in, std::uint8_t* out) {
+  const std::uint8_t* rk = schedule.data();
   std::uint8_t state[16];
   std::memcpy(state, in, 16);
-  add_round_key(state, enc_keys_.data());
-  for (int round = 1; round < kRounds; ++round) {
+  add_round_key(state, rk);
+  for (int round = 1; round < Aes128::kRounds; ++round) {
     sub_bytes(state);
     shift_rows(state);
     mix_columns(state);
-    add_round_key(state, enc_keys_.data() + 4 * round);
+    add_round_key(state, rk + 16 * round);
   }
   sub_bytes(state);
   shift_rows(state);
-  add_round_key(state, enc_keys_.data() + 4 * kRounds);
+  add_round_key(state, rk + 16 * Aes128::kRounds);
   std::memcpy(out, state, 16);
 }
+
+#if defined(__x86_64__)
+
+__attribute__((target("aes"))) void aes128_expand_ni(
+    Aes128::Key key, Aes128::Schedule& schedule) {
+  std::uint8_t* rk = schedule.data();
+  __m128i k = load(key.data());
+  store(rk, k);
+  k = next_round_key<0x01>(k);
+  store(rk + 16, k);
+  k = next_round_key<0x02>(k);
+  store(rk + 32, k);
+  k = next_round_key<0x04>(k);
+  store(rk + 48, k);
+  k = next_round_key<0x08>(k);
+  store(rk + 64, k);
+  k = next_round_key<0x10>(k);
+  store(rk + 80, k);
+  k = next_round_key<0x20>(k);
+  store(rk + 96, k);
+  k = next_round_key<0x40>(k);
+  store(rk + 112, k);
+  k = next_round_key<0x80>(k);
+  store(rk + 128, k);
+  k = next_round_key<0x1B>(k);
+  store(rk + 144, k);
+  k = next_round_key<0x36>(k);
+  store(rk + 160, k);
+}
+
+__attribute__((target("aes"))) void aes128_encrypt_ni(
+    const Aes128::Schedule& schedule, const std::uint8_t* in,
+    std::uint8_t* out) {
+  const std::uint8_t* rk = schedule.data();
+  __m128i x = _mm_xor_si128(load(in), load(rk));
+  for (int round = 1; round < Aes128::kRounds; ++round) {
+    x = _mm_aesenc_si128(x, load(rk + 16 * round));
+  }
+  store(out, _mm_aesenclast_si128(x, load(rk + 16 * Aes128::kRounds)));
+}
+
+#endif  // __x86_64__
+
+}  // namespace detail
+
+void Aes128::set_key(Key key) { kernels().expand(key, round_keys_); }
+
+IBSEC_HOT void Aes128::encrypt_block(const std::uint8_t* in,
+                                     std::uint8_t* out) const {
+  kernels().encrypt(round_keys_, in, out);
+}
+
+Aes128::EncryptFn Aes128::dispatched_kernel() { return kernels().encrypt; }
 
 }  // namespace ibsec::crypto

@@ -46,7 +46,7 @@ std::uint16_t crc16_iba_update_scalar(std::uint16_t state,
 
 #if defined(__x86_64__)
 /// PCLMULQDQ folding, any length (under 64 bytes it runs the table); call
-/// only when crc_pclmul_supported().
+/// only when cpu().pclmul.
 std::uint16_t crc16_iba_update_pclmul(std::uint16_t state,
                                       std::span<const std::uint8_t> data);
 #endif

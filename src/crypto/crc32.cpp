@@ -3,6 +3,7 @@
 #include <array>
 
 #include "common/annotations.h"
+#include "crypto/cpu.h"
 #include "crypto/crc_fold.h"
 
 namespace ibsec::crypto {
@@ -41,7 +42,7 @@ using UpdateFn = std::uint32_t (*)(std::uint32_t,
 
 UpdateFn pick_kernel() {
 #if defined(__x86_64__)
-  if (detail::crc_pclmul_supported()) return &detail::crc32_update_pclmul;
+  if (cpu().pclmul) return &detail::crc32_update_pclmul;
 #endif
   return &detail::crc32_update_scalar;
 }

@@ -50,7 +50,7 @@ std::uint32_t crc32_update_scalar(std::uint32_t state,
 
 #if defined(__x86_64__)
 /// PCLMULQDQ folding, any length (under 64 bytes it runs the table); call
-/// only when crc_pclmul_supported().
+/// only when cpu().pclmul.
 std::uint32_t crc32_update_pclmul(std::uint32_t state,
                                   std::span<const std::uint8_t> data);
 #endif

@@ -8,11 +8,6 @@ namespace ibsec::crypto::detail {
 
 #if defined(__x86_64__)
 
-bool crc_pclmul_supported() {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("pclmul");
-}
-
 namespace {
 
 inline __m128i load(const std::uint8_t* p) {

@@ -55,13 +55,10 @@ constexpr CrcFoldKeys crc_fold_keys(std::uint32_t poly_reflected, int width) {
 }
 
 #if defined(__x86_64__)
-/// True when this CPU has PCLMULQDQ.
-bool crc_pclmul_supported();
-
 /// Folds `state` and the longest 16-byte multiple of `data` into a 16-byte
 /// `residue` whose CRC from state 0 is the state after that prefix, and
 /// returns the unconsumed tail (under 16 bytes). Requires
-/// data.size() >= kCrcFoldMinBytes and crc_pclmul_supported().
+/// data.size() >= kCrcFoldMinBytes and cpu().pclmul.
 std::span<const std::uint8_t> crc_fold_pclmul(
     std::uint32_t state, std::span<const std::uint8_t> data,
     const CrcFoldKeys& keys, std::span<std::uint8_t, 16> residue);

@@ -3,19 +3,19 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/annotations.h"
+
 namespace ibsec::crypto {
 
-CtrDrbg::CtrDrbg(std::span<const std::uint8_t> seed) : cipher_(key_) {
+CtrDrbg::CtrDrbg(std::span<const std::uint8_t> seed)
+    : cipher_(Aes128::Block{}) {
   std::array<std::uint8_t, 32> material{};
   std::copy_n(seed.begin(), std::min<std::size_t>(seed.size(), 32),
               material.begin());
-  std::copy_n(material.begin(), 16, key_.begin());
-  std::copy_n(material.begin() + 16, 16, counter_.begin());
-  cipher_ = Aes128(key_);
-  update();  // decorrelate the working state from the raw seed
+  start(material);
 }
 
-CtrDrbg::CtrDrbg(std::uint64_t seed) : cipher_(key_) {
+CtrDrbg::CtrDrbg(std::uint64_t seed) : cipher_(Aes128::Block{}) {
   std::array<std::uint8_t, 32> material{};
   for (int i = 0; i < 8; ++i) {
     material[static_cast<std::size_t>(i)] =
@@ -24,10 +24,13 @@ CtrDrbg::CtrDrbg(std::uint64_t seed) : cipher_(key_) {
     material[static_cast<std::size_t>(16 + i)] =
         static_cast<std::uint8_t>(~seed >> (8 * i));
   }
-  std::copy_n(material.begin(), 16, key_.begin());
+  start(material);
+}
+
+void CtrDrbg::start(std::span<const std::uint8_t, 32> material) {
+  cipher_.set_key(material.first<16>());
   std::copy_n(material.begin() + 16, 16, counter_.begin());
-  cipher_ = Aes128(key_);
-  update();
+  update();  // decorrelate the working state from the raw seed
 }
 
 void CtrDrbg::increment_counter() {
@@ -36,28 +39,30 @@ void CtrDrbg::increment_counter() {
   }
 }
 
-void CtrDrbg::generate(std::span<std::uint8_t> out) {
+IBSEC_HOT void CtrDrbg::generate(std::span<std::uint8_t> out) {
   std::size_t produced = 0;
-  Aes128::Block block;
-  while (produced < out.size()) {
+  for (; out.size() - produced >= 16; produced += 16) {
+    increment_counter();
+    cipher_.encrypt_block(counter_.data(), out.data() + produced);
+  }
+  if (produced < out.size()) {
+    Aes128::Block block;
     increment_counter();
     cipher_.encrypt_block(counter_.data(), block.data());
-    const std::size_t take = std::min<std::size_t>(16, out.size() - produced);
-    std::memcpy(out.data() + produced, block.data(), take);
-    produced += take;
+    std::memcpy(out.data() + produced, block.data(), out.size() - produced);
   }
   update();
 }
 
 void CtrDrbg::update() {
-  Aes128::Block new_key, new_counter;
+  // The next two keystream blocks become the new key and counter: the
+  // counter is encrypted over itself and the cipher re-keyed in place.
+  Aes128::Block new_key;
   increment_counter();
   cipher_.encrypt_block(counter_.data(), new_key.data());
   increment_counter();
-  cipher_.encrypt_block(counter_.data(), new_counter.data());
-  key_ = new_key;
-  counter_ = new_counter;
-  cipher_ = Aes128(key_);
+  cipher_.encrypt_block(counter_.data(), counter_.data());
+  cipher_.set_key(new_key);
 }
 
 std::uint64_t CtrDrbg::next_u64() {

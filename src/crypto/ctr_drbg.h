@@ -38,12 +38,14 @@ class CtrDrbg {
   std::uint64_t next_u64();
 
  private:
+  /// Keys the cipher and loads the counter from 32 bytes of seed material,
+  /// then runs the first update.
+  void start(std::span<const std::uint8_t, 32> material);
   void increment_counter();
   void update();
 
-  Aes128::Block key_{};
   Aes128::Block counter_{};
-  Aes128 cipher_;
+  Aes128 cipher_;  // keyed with the current DRBG key
 };
 
 }  // namespace ibsec::crypto

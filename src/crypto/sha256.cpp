@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "crypto/cpu.h"
+
 #if defined(__x86_64__)
 #include <immintrin.h>
 #endif
@@ -69,7 +71,7 @@ using BlocksFn = void (*)(std::uint32_t*, const std::uint8_t*, std::size_t);
 
 BlocksFn pick_kernel() {
 #if defined(__x86_64__)
-  if (detail::sha256_shani_supported()) return &detail::sha256_blocks_shani;
+  if (cpu().sha_ni) return &detail::sha256_blocks_shani;
 #endif
   return &detail::sha256_blocks_scalar;
 }
@@ -129,11 +131,6 @@ void sha256_blocks_scalar(std::uint32_t* state, const std::uint8_t* data,
 }
 
 #if defined(__x86_64__)
-
-bool sha256_shani_supported() {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
-}
 
 // The SHA extensions keep the chaining value as two vectors, ABEF and CDGH
 // (lane 3 first), and run two rounds per sha256rnds2 with W+K for the pair

@@ -66,10 +66,7 @@ void sha256_blocks_scalar(std::uint32_t* state, const std::uint8_t* data,
                           std::size_t blocks);
 
 #if defined(__x86_64__)
-/// True when this CPU has the SHA extensions and SSE4.1 that
-/// sha256_blocks_shani needs.
-bool sha256_shani_supported();
-/// SHA-NI kernel; call only when sha256_shani_supported().
+/// SHA-NI kernel; call only when cpu().sha_ni.
 void sha256_blocks_shani(std::uint32_t* state, const std::uint8_t* data,
                          std::size_t blocks);
 #endif

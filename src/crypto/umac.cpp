@@ -241,8 +241,8 @@ Umac32::Umac32(std::span<const std::uint8_t> key)
              load_be32(l3k2_bytes.data()));
 }
 
-std::uint32_t Umac32::pdf_xor(std::uint32_t hashed,
-                              std::uint64_t nonce) const {
+std::uint32_t Umac32::pdf_xor(std::uint32_t hashed, std::uint64_t nonce,
+                              Aes128::EncryptFn pad_kernel) const {
   // PDF: encrypt the nonce with its low two bits cleared; those bits select
   // one of the four 32-bit lanes, so four consecutive nonces share one AES
   // call in a caching implementation.
@@ -253,16 +253,23 @@ std::uint32_t Umac32::pdf_xor(std::uint32_t hashed,
     in[static_cast<std::size_t>(15 - i)] =
         static_cast<std::uint8_t>(masked >> (8 * i));
   }
-  pdf_cipher_.encrypt_block(in.data(), pad.data());
+  pdf_cipher_.encrypt_block(in.data(), pad.data(), pad_kernel);
   return hashed ^ load_be32(pad.data() + 4 * lane);
 }
 
-std::uint32_t Umac32::tag(std::span<const std::uint8_t> message,
-                          std::uint64_t nonce) const {
-  if (message.size() > kMaxMessageBytes) {
+IBSEC_HOT std::uint32_t Umac32::tag(std::span<const std::uint8_t> message,
+                                    std::uint64_t nonce) const {
+  return detail::umac32_tag(*this, message, nonce,
+                            Aes128::dispatched_kernel());
+}
+
+IBSEC_HOT std::uint32_t detail::umac32_tag(
+    const Umac32& umac, std::span<const std::uint8_t> message,
+    std::uint64_t nonce, Aes128::EncryptFn pad_kernel) {
+  if (message.size() > Umac32::kMaxMessageBytes) {
     throw std::invalid_argument("Umac32: message too long");
   }
-  return pdf_xor(iter_.hash(message), nonce);
+  return umac.pdf_xor(umac.iter_.hash(message), nonce, pad_kernel);
 }
 
 IBSEC_HOT void Umac32::Stream::update(std::span<const std::uint8_t> data) {
@@ -290,7 +297,7 @@ IBSEC_HOT std::uint32_t Umac32::Stream::final(std::uint64_t nonce) const {
   }
   const std::uint32_t hashed =
       parent_->iter_.stream_finish(multi_, poly_y_, buf_.data(), buffered_);
-  return parent_->pdf_xor(hashed, nonce);
+  return parent_->pdf_xor(hashed, nonce, Aes128::dispatched_kernel());
 }
 
 Umac64::Umac64(std::span<const std::uint8_t> key)
@@ -334,12 +341,20 @@ Umac64::Umac64(std::span<const std::uint8_t> key)
 
 std::uint64_t Umac64::tag(std::span<const std::uint8_t> message,
                           std::uint64_t nonce) const {
+  return detail::umac64_tag(*this, message, nonce,
+                            Aes128::dispatched_kernel());
+}
+
+std::uint64_t detail::umac64_tag(const Umac64& umac,
+                                 std::span<const std::uint8_t> message,
+                                 std::uint64_t nonce,
+                                 Aes128::EncryptFn pad_kernel) {
   if (message.size() > Umac32::kMaxMessageBytes) {
     throw std::invalid_argument("Umac64: message too long");
   }
   const std::uint64_t hashed =
-      static_cast<std::uint64_t>(iters_[0].hash(message)) << 32 |
-      iters_[1].hash(message);
+      static_cast<std::uint64_t>(umac.iters_[0].hash(message)) << 32 |
+      umac.iters_[1].hash(message);
 
   Aes128::Block in{}, pad;
   const unsigned lane = static_cast<unsigned>(nonce & 1);
@@ -348,7 +363,7 @@ std::uint64_t Umac64::tag(std::span<const std::uint8_t> message,
     in[static_cast<std::size_t>(15 - i)] =
         static_cast<std::uint8_t>(masked >> (8 * i));
   }
-  pdf_cipher_.encrypt_block(in.data(), pad.data());
+  umac.pdf_cipher_.encrypt_block(in.data(), pad.data(), pad_kernel);
   return hashed ^ load_be64(pad.data() + 8 * lane);
 }
 

@@ -35,6 +35,22 @@
 
 namespace ibsec::crypto {
 
+class Umac32;
+class Umac64;
+
+namespace detail {
+
+/// Umac32::tag and Umac64::tag with the pad's AES on `pad_kernel`, whatever
+/// this CPU runs. Table 4's paper rows pass the scalar kernel.
+std::uint32_t umac32_tag(const Umac32& umac,
+                         std::span<const std::uint8_t> message,
+                         std::uint64_t nonce, Aes128::EncryptFn pad_kernel);
+std::uint64_t umac64_tag(const Umac64& umac,
+                         std::span<const std::uint8_t> message,
+                         std::uint64_t nonce, Aes128::EncryptFn pad_kernel);
+
+}  // namespace detail
+
 namespace umac_detail {
 
 /// One Toeplitz iteration of the three-layer hash. Shared by Umac32/Umac64.
@@ -128,13 +144,16 @@ class Umac32 {
 
  private:
   /// The PDF stage shared by tag() and Stream::final(): AES of the
-  /// lane-masked nonce XORed onto the hash output.
-  std::uint32_t pdf_xor(std::uint32_t hashed, std::uint64_t nonce) const;
+  /// lane-masked nonce, on `pad_kernel`, XORed onto the hash output.
+  std::uint32_t pdf_xor(std::uint32_t hashed, std::uint64_t nonce,
+                        Aes128::EncryptFn pad_kernel) const;
 
   umac_detail::HashIteration iter_;
   Aes128 pdf_cipher_;
 
-  friend class Umac64;
+  friend std::uint32_t detail::umac32_tag(const Umac32&,
+                                          std::span<const std::uint8_t>,
+                                          std::uint64_t, Aes128::EncryptFn);
 };
 
 /// UMAC with a 64-bit tag (two Toeplitz iterations). Not used on the IBA
@@ -158,6 +177,10 @@ class Umac64 {
  private:
   std::array<umac_detail::HashIteration, 2> iters_;
   Aes128 pdf_cipher_;
+
+  friend std::uint64_t detail::umac64_tag(const Umac64&,
+                                          std::span<const std::uint8_t>,
+                                          std::uint64_t, Aes128::EncryptFn);
 };
 
 }  // namespace ibsec::crypto

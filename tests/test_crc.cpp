@@ -6,9 +6,9 @@
 
 #include "common/hex.h"
 #include "common/rng.h"
+#include "crypto/cpu.h"
 #include "crypto/crc16.h"
 #include "crypto/crc32.h"
-#include "crypto/crc_fold.h"
 
 namespace ibsec::crypto {
 namespace {
@@ -238,7 +238,7 @@ TEST(CrcKernels, ScalarMatchesReferenceAtEveryLengthAndOffset) {
 
 TEST(CrcKernels, PclmulMatchesReferenceAtEveryLengthAndOffset) {
 #if defined(__x86_64__)
-  if (!detail::crc_pclmul_supported()) {
+  if (!cpu().pclmul) {
     GTEST_SKIP() << "this CPU lacks PCLMULQDQ; the CRCs run the table kernel";
   }
   expect_matches_reference_everywhere<Crc32Poly>(Crc32Poly::pclmul);
@@ -250,7 +250,7 @@ TEST(CrcKernels, PclmulMatchesReferenceAtEveryLengthAndOffset) {
 
 TEST(CrcKernels, PclmulAndScalarHandStateOverAtEveryCut) {
 #if defined(__x86_64__)
-  if (!detail::crc_pclmul_supported()) {
+  if (!cpu().pclmul) {
     GTEST_SKIP() << "this CPU lacks PCLMULQDQ; the CRCs run the table kernel";
   }
   expect_state_hands_over<Crc32Poly>(Crc32Poly::pclmul);

@@ -1,13 +1,64 @@
-// AES-CTR DRBG: determinism, seed separation, output stream statistics,
-// and forward-security (update) behaviour.
+// AES-CTR DRBG: a pinned known-answer stream, determinism, seed
+// separation, output stream statistics, and forward-security (update)
+// behaviour.
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "common/hex.h"
 #include "crypto/ctr_drbg.h"
 
 namespace ibsec::crypto {
 namespace {
+
+// The raw stream, byte for byte, as the scalar AES kernel produced it
+// before any other kernel existed. Every key in the fabric is drawn from
+// this stream, so a kernel or a refactor that moves one byte of it moves
+// every golden. Draw sizes 1, 8, 16, 17 and 64 cover a partial block, a
+// whole one, a block and a byte, and four blocks; each draw ends in the
+// key/counter update.
+struct StreamKat {
+  const char* draw1;
+  const char* draw8;
+  const char* draw16;
+  const char* draw17;
+  const char* draw64;
+  std::uint64_t next_u64;
+};
+
+void expect_stream(CtrDrbg& drbg, const StreamKat& want) {
+  EXPECT_EQ(to_hex(drbg.generate(1)), want.draw1);
+  EXPECT_EQ(to_hex(drbg.generate(8)), want.draw8);
+  EXPECT_EQ(to_hex(drbg.generate(16)), want.draw16);
+  EXPECT_EQ(to_hex(drbg.generate(17)), want.draw17);
+  EXPECT_EQ(to_hex(drbg.generate(64)), want.draw64);
+  EXPECT_EQ(drbg.next_u64(), want.next_u64);
+}
+
+TEST(CtrDrbg, KnownAnswerStream) {
+  CtrDrbg from_word(std::uint64_t{2005});
+  expect_stream(
+      from_word,
+      {"cb", "b98703d29c457354", "4fc223082eefd07bf759fafdc17011f7",
+       "6223321174fb38369797d9962beba32720",
+       "7c8795523f7940dacfcbd7522934c35cd8b406ecb1bc01401aaf08538e384f9e"
+       "efec583616af0411da5a0f3df2bd244c6a055aac0cbcc73ea237f5d354a7fc7b",
+       0x90aa51da932de38eull});
+
+  // A 20-byte seed: zero-padded to 32, so it also covers the padding.
+  std::vector<std::uint8_t> seed;
+  for (int i = 0; i < 20; ++i) {
+    seed.push_back(static_cast<std::uint8_t>(0xA0 + 3 * i));
+  }
+  CtrDrbg from_bytes{std::span<const std::uint8_t>(seed)};
+  expect_stream(
+      from_bytes,
+      {"c9", "cd7f57357633f952", "38eedd814c48ec75a91f5e2816968a3a",
+       "57ff00768b0c92bb9572074da8d33cc455",
+       "41c40290bf0306102be4aeb90280237cd40e4655875d84d1a06982b007ab3fdd"
+       "4a07ed1f4f7f3a08466cc092833cddcfefd5ed802aba1ab4bb1f394142a6bd48",
+       0xa01a942295f6b4f6ull});
+}
 
 TEST(CtrDrbg, DeterministicForSameSeed) {
   CtrDrbg a(std::uint64_t{12345}), b(std::uint64_t{12345});

@@ -10,8 +10,9 @@
 //      property-tested over randomized packets with a seeded Rng, so the
 //      equivalence holds across header combinations and payload sizes, not
 //      just the golden packets other suites pin.
-//   4. The event-scheduling steady state and the packet CRCs perform zero
-//      heap allocations, measured with the global allocation probe.
+//   4. The event-scheduling steady state, the packet CRCs, DRBG draws and
+//      the AES-based MAC tags perform zero heap allocations, measured with
+//      the global allocation probe.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -24,6 +25,7 @@
 #include "common/rng.h"
 #include "crypto/crc16.h"
 #include "crypto/crc32.h"
+#include "crypto/ctr_drbg.h"
 #include "crypto/hmac.h"
 #include "crypto/mac.h"
 #include "crypto/pmac.h"
@@ -569,6 +571,29 @@ TEST(ZeroAllocSteadyState, PacketCrcsAllocateNothing) {
     EXPECT_TRUE(icrc_ok);
     EXPECT_TRUE(vcrc_ok);
     EXPECT_EQ(allocs, 0u) << wire_size << " B packet";
+  }
+}
+
+// The AES users on the per-packet and key-drawing paths are heap-free once
+// keyed: a DRBG draw into a caller's span, a UMAC-32 tag and a PMAC tag,
+// each on a 64 B and a 1 KB message.
+TEST(ZeroAllocSteadyState, DrbgDrawAndAesMacTagsAllocateNothing) {
+  crypto::CtrDrbg drbg(std::uint64_t{2005});
+  const std::vector<std::uint8_t> key = drbg.generate(crypto::Umac32::kKeySize);
+  const crypto::Umac32 umac(key);
+  const crypto::Pmac pmac(key);
+  std::vector<std::uint8_t> message(1024);
+  std::vector<std::uint8_t> draw(100);
+  for (const std::size_t size : {std::size_t{64}, std::size_t{1024}}) {
+    const auto msg = std::span<const std::uint8_t>(message).first(size);
+    const std::uint64_t before = alloc_count();
+    drbg.generate(std::span<std::uint8_t>(draw));
+    const std::uint32_t umac_tag = umac.tag(msg, size);
+    const std::uint32_t pmac_tag = pmac.tag32(msg, size);
+    const std::uint64_t allocs = alloc_count() - before;
+    EXPECT_EQ(allocs, 0u) << size << " B message";
+    EXPECT_TRUE(umac.verify(msg, size, umac_tag));
+    EXPECT_EQ(pmac.tag32(msg, size), pmac_tag);
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "common/hex.h"
 #include "common/rng.h"
+#include "crypto/cpu.h"
 #include "crypto/hmac.h"
 #include "crypto/mac.h"
 #include "crypto/sha256.h"
@@ -176,7 +177,7 @@ TEST(Sha256Kernels, ScalarMatchesStreamingAtEveryLength) {
 
 TEST(Sha256Kernels, ShaNiMatchesScalar) {
 #if defined(__x86_64__)
-  if (!detail::sha256_shani_supported()) {
+  if (!cpu().sha_ni) {
     GTEST_SKIP() << "this CPU lacks the SHA extensions; Sha256 runs the "
                     "scalar kernel";
   }
