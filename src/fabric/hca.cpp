@@ -32,7 +32,7 @@ void Hca::send(ib::Packet&& pkt) {
   pkt.meta.vcrc_verified = false;
   obs_injected_->inc();
   const ib::VirtualLane vl = pkt.lrh.vl;
-  out_->enqueue(std::move(pkt), vl);
+  out_->enqueue(sim_.packets().acquire(std::move(pkt)), vl);
 }
 
 void Hca::packet_arrived(ib::Packet&& pkt, int /*in_port*/) {

@@ -46,8 +46,6 @@ class Hca final : public Device {
   std::size_t send_queue_depth(ib::VirtualLane vl) const {
     return out_->queue_depth(vl);
   }
-  std::uint64_t packets_sent() const { return obs_injected_->value(); }
-  std::uint64_t packets_received() const { return obs_received_->value(); }
 
  private:
   sim::Simulator& sim_;

@@ -1,5 +1,6 @@
 #include "fabric/link.h"
 
+#include <bit>
 #include <functional>  // std::hash for the per-port fault-stream seed
 
 #include "common/check.h"
@@ -59,15 +60,16 @@ void OutputPort::connect(Device* peer, int peer_port) {
   peer_port_ = peer_port;
 }
 
-IBSEC_HOT void OutputPort::enqueue(ib::Packet&& pkt, ib::VirtualLane vl,
-                                   DispatchHook on_dispatch) {
+IBSEC_HOT void OutputPort::enqueue(ib::Packet* slot, ib::VirtualLane vl,
+                                   InputPort* release) {
   IBSEC_CHECK(vl < vl_queues_.size())
       << "port " << name_ << " enqueue on unconfigured VL "
       << static_cast<int>(vl);
   // Amortized ring growth: capacity doubles up to the VL's peak queue depth
   // and then stays. IBSEC_DETLINT_ALLOW(hot-alloc)
   vl_queues_[vl].push_back(
-      QueuedPacket{std::move(pkt), std::move(on_dispatch), sim_.now()});
+      QueuedPacket{slot, release, sim_.now(), slot->wire_size()});
+  queued_mask_ |= 1u << vl;
   obs_queue_depth_->add(1);
   obs::Gauge*& vl_depth = obs_vl_depth_[vl];
   if (vl_depth == nullptr) vl_depth = &vl_depth_gauge(vl);
@@ -89,9 +91,18 @@ obs::Counter& OutputPort::vl_dispatched_counter(int vl_index) {
                             std::to_string(vl_index) + ".dispatched");
 }
 
+void OutputPort::trace_fault(const ib::Packet& pkt, const std::string& label) {
+  if (sim_.trace().enabled() && pkt.meta.trace_id != 0) {
+    sim_.trace().instant(pkt.meta.trace_id, obs::TraceEventType::kLinkFault,
+                         -1, sim_.now(), label);
+  }
+}
+
 IBSEC_HOT OutputPort::QueuedPacket OutputPort::pop_front(ib::VirtualLane vl) {
-  QueuedPacket entry = std::move(vl_queues_[vl].front());
-  vl_queues_[vl].pop_front();
+  RingQueue<QueuedPacket>& queue = vl_queues_[vl];
+  const QueuedPacket entry = queue.front();
+  queue.pop_front();
+  if (queue.empty()) queued_mask_ &= ~(1u << vl);
   obs_queue_depth_->add(-1);
   obs_vl_depth_[vl]->add(-1);  // enqueue resolved the gauge already
   return entry;
@@ -111,26 +122,17 @@ std::size_t OutputPort::queue_depth(ib::VirtualLane vl) const {
   return vl_queues_[vl].size();
 }
 
-std::size_t OutputPort::total_queue_depth() const {
-  std::size_t n = 0;
-  for (const auto& q : vl_queues_) n += q.size();
-  return n;
-}
-
-std::size_t OutputPort::credits(ib::VirtualLane vl) const {
-  return credits_[vl];
-}
-
 int OutputPort::arbitrate() {
-  const auto sendable = [&](ib::VirtualLane vl) {
-    const auto& q = vl_queues_[vl];
-    if (q.empty()) return false;
-    if (vl == ib::kManagementVl) return true;  // no flow control on VL15
-    return q.front().pkt.wire_size() <= credits_[vl];
-  };
-  // VL15 preempts everything and is outside the arbitration tables.
-  if (sendable(ib::kManagementVl)) return ib::kManagementVl;
-  return arbiter_.pick(sendable);
+  // VL15 preempts everything, has no flow control and is outside the
+  // arbitration tables.
+  if ((queued_mask_ >> ib::kManagementVl & 1u) != 0) return ib::kManagementVl;
+  std::uint32_t sendable = 0;
+  for (std::uint32_t queued = queued_mask_; queued != 0;
+       queued &= queued - 1) {
+    const auto vl = static_cast<ib::VirtualLane>(std::countr_zero(queued));
+    if (vl_queues_[vl].front().bytes <= credits_[vl]) sendable |= 1u << vl;
+  }
+  return arbiter_.pick_mask(sendable);
 }
 
 IBSEC_HOT void OutputPort::try_dispatch() {
@@ -140,7 +142,7 @@ IBSEC_HOT void OutputPort::try_dispatch() {
     if (vl_index < 0) {
       // Line free, packets queued, but no VL holds the credits to send: a
       // credit stall. The span closes at the next successful dispatch.
-      if (stall_since_ < 0 && total_queue_depth() > 0) {
+      if (stall_since_ < 0 && queued_mask_ != 0) {
         stall_since_ = sim_.now();
       }
       return;
@@ -155,14 +157,11 @@ IBSEC_HOT void OutputPort::try_dispatch() {
     // credits are consumed (the far buffer never sees the packet) and the
     // line is not busied — loop for the next queued packet.
     if (faults_.down_at(sim_.now())) {
-      QueuedPacket entry = pop_front(vl);
+      const QueuedPacket entry = pop_front(vl);
       obs_flap_dropped_->inc();
-      if (sim_.trace().enabled() && entry.pkt.meta.trace_id != 0) {
-        sim_.trace().instant(entry.pkt.meta.trace_id,
-                             obs::TraceEventType::kLinkFault, -1, sim_.now(),
-                             flap_label_);
-      }
-      if (entry.on_dispatch) entry.on_dispatch(entry.pkt);
+      trace_fault(*entry.slot, flap_label_);
+      if (entry.release != nullptr) entry.release->release_bytes(entry.bytes, vl);
+      sim_.packets().release(entry.slot);
       continue;
     }
 
@@ -170,9 +169,10 @@ IBSEC_HOT void OutputPort::try_dispatch() {
     if (vl_counter == nullptr) vl_counter = &vl_dispatched_counter(vl_index);
     vl_counter->inc();
 
-    QueuedPacket entry = pop_front(vl);
-
-    const std::size_t bytes = entry.pkt.wire_size();
+    const QueuedPacket entry = pop_front(vl);
+    ib::Packet* const slot = entry.slot;
+    const std::size_t bytes = entry.bytes;
+    IBSEC_DCHECK(bytes == slot->wire_size());
     if (vl != ib::kManagementVl) {
       IBSEC_CHECK(credits_[vl] >= bytes)
           << "port " << name_ << " VL " << static_cast<int>(vl)
@@ -184,19 +184,19 @@ IBSEC_HOT void OutputPort::try_dispatch() {
 
     // First wire entry only — switches re-dispatch the packet at every hop,
     // but injection time means "left the source HCA".
-    const bool first_injection = entry.pkt.meta.injected_at < 0;
+    const bool first_injection = slot->meta.injected_at < 0;
     if (first_injection) {
-      entry.pkt.meta.injected_at = sim_.now();
+      slot->meta.injected_at = sim_.now();
     }
-    if (entry.on_dispatch) entry.on_dispatch(entry.pkt);
+    if (entry.release != nullptr) entry.release->release_bytes(bytes, vl);
 
     const SimTime tx_time = serialization_time_ps(
         static_cast<std::int64_t>(bytes), params_.bandwidth_bps);
     line_busy_ = true;
 
-    if (sim_.trace().enabled() && entry.pkt.meta.trace_id != 0) {
+    if (sim_.trace().enabled() && slot->meta.trace_id != 0) {
       obs::TraceRecorder& trace = sim_.trace();
-      const std::uint64_t id = entry.pkt.meta.trace_id;
+      const std::uint64_t id = slot->meta.trace_id;
       if (sim_.now() > entry.enqueued_at) {
         trace.span(id, obs::TraceEventType::kQueueWait, -1, entry.enqueued_at,
                    sim_.now() - entry.enqueued_at, name_);
@@ -228,16 +228,13 @@ IBSEC_HOT void OutputPort::try_dispatch() {
     // packet would leak credits and eventually wedge the VL.
     if (faults_.drop_rate > 0.0 && fault_rng_.bernoulli(faults_.drop_rate)) {
       obs_dropped_->inc();
-      if (sim_.trace().enabled() && entry.pkt.meta.trace_id != 0) {
-        sim_.trace().instant(entry.pkt.meta.trace_id,
-                             obs::TraceEventType::kLinkFault, -1, sim_.now(),
-                             drop_label_);
-      }
+      trace_fault(*slot, drop_label_);
       if (vl != ib::kManagementVl) {
         sim_.after(tx_time + 2 * params_.propagation, [this, vl, bytes] {
           credit_return(vl, bytes);
         });
       }
+      sim_.packets().release(slot);
       return;
     }
 
@@ -246,29 +243,23 @@ IBSEC_HOT void OutputPort::try_dispatch() {
     // link-layer check re-hashes the packet and catches it.
     if (faults_.corruption_rate > 0.0 &&
         fault_rng_.bernoulli(faults_.corruption_rate)) {
-      entry.pkt.meta.vcrc_verified = false;
+      slot->meta.vcrc_verified = false;
       obs_corrupted_->inc();
-      if (sim_.trace().enabled() && entry.pkt.meta.trace_id != 0) {
-        sim_.trace().instant(entry.pkt.meta.trace_id,
-                             obs::TraceEventType::kLinkFault, -1, sim_.now(),
-                             corrupt_label_);
-      }
-      if (!entry.pkt.payload.empty()) {
-        const std::size_t at = fault_rng_.uniform(entry.pkt.payload.size());
-        entry.pkt.payload[at] ^=
+      trace_fault(*slot, corrupt_label_);
+      if (!slot->payload.empty()) {
+        const std::size_t at = fault_rng_.uniform(slot->payload.size());
+        slot->payload[at] ^=
             static_cast<std::uint8_t>(1u << fault_rng_.uniform(8));
       } else {
-        entry.pkt.bth.psn ^= 1;  // headers are all a headerless packet has
+        slot->bth.psn ^= 1;  // headers are all a headerless packet has
       }
     }
 
-    // Park the packet in a pooled slot for the flight time: the payload
-    // buffer travels by move, and the slot is recycled on arrival, so
-    // steady-state delivery schedules no allocations.
-    ib::Packet* slot = pool_.acquire(std::move(entry.pkt));
+    // The packet flies in the slot it queued in, which returns to the pool
+    // once the peer has taken the packet.
     auto deliver = [this, slot] {
       peer_->packet_arrived(std::move(*slot), peer_port_);
-      pool_.release(slot);
+      sim_.packets().release(slot);
     };
     static_assert(sim::EventQueue::Callback::fits_inline<decltype(deliver)>(),
                   "delivery capture must stay inside the event's inline "

@@ -11,6 +11,7 @@
 // trap MADs still get through a congested fabric.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -18,9 +19,7 @@
 #include "common/ring_queue.h"
 #include "common/rng.h"
 #include "fabric/config.h"
-#include "fabric/packet_pool.h"
 #include "ib/packet.h"
-#include "sim/inline_function.h"
 #include "sim/simulator.h"
 
 namespace ibsec::fabric {
@@ -36,16 +35,12 @@ class Device {
   virtual std::string name() const = 0;
 };
 
+class InputPort;
+
 /// The sending side of one unidirectional link. Owns the per-VL queues and
 /// the credit counters mirroring the peer's input buffer.
 class OutputPort {
  public:
-  /// Invoked when a queued packet starts serialization (used by the sender
-  /// to release its own input buffer / record injection time). Inline-only
-  /// storage: one hook lives in every queued packet, so a heap-backed
-  /// callable here would put an allocation on the per-packet hot path.
-  using DispatchHook = sim::InlineFunction<void(const ib::Packet&), 32>;
-
   OutputPort(sim::Simulator& simulator, const LinkParams& params,
              std::string name);
 
@@ -53,37 +48,28 @@ class OutputPort {
   /// on the peer.
   void connect(Device* peer, int peer_port);
 
-  bool connected() const { return peer_ != nullptr; }
   const std::string& name() const { return name_; }
 
   /// Replaces this port's fault behaviour (FaultCampaign per-link override).
   void set_fault_profile(const FaultProfile& profile) { faults_ = profile; }
-  const FaultProfile& fault_profile() const { return faults_; }
 
-  /// Queues a packet for transmission on `vl`. `on_dispatch` (optional) runs
-  /// when the first byte goes on the wire.
-  IBSEC_HOT void enqueue(ib::Packet&& pkt, ib::VirtualLane vl,
-                         DispatchHook on_dispatch = nullptr);
+  /// Queues the packet parked in `slot` (a Simulator::packets() slot the port
+  /// now owns) on `vl`. When it goes on the wire or a flapped link drops it,
+  /// the port frees its bytes from `release`, the sender's input buffer.
+  IBSEC_HOT void enqueue(ib::Packet* slot, ib::VirtualLane vl,
+                         InputPort* release = nullptr);
 
   /// Returns `bytes` of credit for `vl` (receiver freed buffer). Called via
   /// the simulator after the reverse-direction propagation delay.
   IBSEC_HOT void credit_return(ib::VirtualLane vl, std::size_t bytes);
 
   std::size_t queue_depth(ib::VirtualLane vl) const;
-  std::size_t total_queue_depth() const;
-  std::size_t credits(ib::VirtualLane vl) const;
 
   /// Total packets that have completed transmission on this port.
   std::uint64_t packets_sent() const { return obs_packets_->value(); }
   /// Bytes that completed transmission on this port.
   std::uint64_t bytes_sent() const { return obs_bytes_->value(); }
   std::uint64_t packets_corrupted() const { return obs_corrupted_->value(); }
-  /// Packets lost to random wire drops on this port.
-  std::uint64_t packets_dropped() const { return obs_dropped_->value(); }
-  /// Packets discarded because the link was flapped down at dispatch.
-  std::uint64_t packets_flap_dropped() const {
-    return obs_flap_dropped_->value();
-  }
   /// Fraction of wall-clock the line spent transmitting, up to `now`.
   double utilization(SimTime now) const {
     if (now <= 0) return 0.0;
@@ -92,18 +78,24 @@ class OutputPort {
 
  private:
   struct QueuedPacket {
-    ib::Packet pkt;
-    DispatchHook on_dispatch;
+    ib::Packet* slot = nullptr;    ///< the packet, parked in the pool
+    InputPort* release = nullptr;  ///< input buffer freed at dispatch
     SimTime enqueued_at = 0;  ///< for the VL-arbitration-wait trace span
+    std::size_t bytes = 0;    ///< slot->wire_size(), cached at enqueue
   };
+  static_assert(sizeof(QueuedPacket) <= 32,
+                "a queue entry is a handle: the packet stays in its slot");
 
   IBSEC_HOT void try_dispatch();
-  /// Removes the head of `vl`'s queue, keeping the depth gauges honest.
+  /// Removes the head of `vl`'s queue, keeping the depth gauges and the
+  /// queued-VL mask honest.
   IBSEC_HOT QueuedPacket pop_front(ib::VirtualLane vl);
   /// Cold lazy resolvers: the first packet on a VL registers that VL's
   /// metric here, keeping the name assembly out of the IBSEC_HOT bodies.
   obs::Gauge& vl_depth_gauge(ib::VirtualLane vl);
   obs::Counter& vl_dispatched_counter(int vl_index);
+  /// Marks a link fault on `pkt`'s trace lifecycle, if it has one.
+  void trace_fault(const ib::Packet& pkt, const std::string& label);
   /// VL15 first (exempt from arbitration and flow control), then the
   /// weighted arbitration tables; -1 if nothing can send.
   int arbitrate();
@@ -114,14 +106,13 @@ class OutputPort {
   Device* peer_ = nullptr;
   int peer_port_ = -1;
 
-  // Ring buffers, not deques: a QueuedPacket is large enough that libstdc++'s
-  // deque allocates one node per element, which would put a heap allocation
-  // on every enqueue of every hop (the top site in the DoS macro-bench's
-  // allocation profile before the switch).
+  // Ring buffers, not deques: a deque frees and allocates a node block as
+  // its ends cross block boundaries, so even a steady queue would allocate
+  // on the per-hop path. A ring recycles its buffer once grown.
   std::vector<RingQueue<QueuedPacket>> vl_queues_;
+  /// Bit v set iff vl_queues_[v] is non-empty.
+  std::uint32_t queued_mask_ = 0;
   std::vector<std::size_t> credits_;
-  /// Recycles the slots that park packets during the propagation delay.
-  PacketPool pool_;
   VlArbiter arbiter_;
   FaultProfile faults_;
   Rng fault_rng_;

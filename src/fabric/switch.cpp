@@ -129,10 +129,9 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
                       decision.allow ? "pass" : "pkey_fail");
   }
 
-  // Park the packet in a pooled slot for the crossing; the slot returns to
-  // the pool on every exit path below, so steady-state crossings schedule no
-  // allocations.
-  ib::Packet* slot = pool_.acquire(std::move(pkt));
+  // Park the packet in a pooled slot for the crossing. The slot either
+  // returns to the pool on a drop below or becomes the output queue's slot.
+  ib::Packet* slot = sim_.packets().acquire(std::move(pkt));
   const bool allow = decision.allow;
   auto cross = [this, slot, in_port, allow] {
     InputPort& in = inputs_.at(static_cast<std::size_t>(in_port));
@@ -142,7 +141,7 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
                   *slot, id_, static_cast<std::int64_t>(slot->bth.pkey),
                   in_port);
       in.release(*slot, pvl);
-      pool_.release(slot);
+      sim_.packets().release(slot);
       return;
     }
     const ib::Lid dlid = slot->lrh.dlid;
@@ -151,24 +150,14 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
       sim_.record(obs::Decision::kSwitchNoRoute, *obs_.drop_no_route, *slot,
                   id_);
       in.release(*slot, pvl);
-      pool_.release(slot);
+      sim_.packets().release(slot);
       return;
     }
     obs_.forwarded->inc();
 
     // Hold input-buffer bytes until the packet starts on the output wire;
     // the release triggers the upstream credit return.
-    ib::Packet to_send = std::move(*slot);
-    pool_.release(slot);
-    auto on_dispatch = [this, in_port](const ib::Packet& dispatched) {
-      inputs_.at(static_cast<std::size_t>(in_port))
-          .release(dispatched, dispatched.lrh.vl);
-    };
-    static_assert(OutputPort::DispatchHook::fits_inline<decltype(on_dispatch)>(),
-                  "the dispatch hook must stay inside the queued packet's "
-                  "inline storage");
-    outputs_[static_cast<std::size_t>(out_port)]->enqueue(
-        std::move(to_send), pvl, std::move(on_dispatch));
+    outputs_[static_cast<std::size_t>(out_port)]->enqueue(slot, pvl, &in);
   };
   static_assert(sim::EventQueue::Callback::fits_inline<decltype(cross)>(),
                 "the crossing capture must stay inside the event's inline "

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "fabric/link.h"
-#include "fabric/packet_pool.h"
 #include "fabric/partition_filter.h"
 #include "fabric/rate_limiter.h"
 
@@ -44,7 +43,6 @@ class Switch final : public Device {
   /// (counted under "switch.<id>.drop.dead"); buffers are still released so
   /// neighbours keep their credits.
   void set_dead(bool dead) { dead_ = dead; }
-  bool dead() const { return dead_; }
 
   SwitchPartitionFilter& filter() { return filter_; }
   const SwitchPartitionFilter& filter() const { return filter_; }
@@ -76,8 +74,6 @@ class Switch final : public Device {
   int id_;
   std::vector<std::unique_ptr<OutputPort>> outputs_;
   std::vector<InputPort> inputs_;
-  /// Recycles the slots that park packets during the crossing delay.
-  PacketPool pool_;
   std::vector<int> routes_;  // indexed by DLID; -1 or past the end = no route
   SwitchPartitionFilter filter_;
   // Per-port ingress admission limiter; only HCA-facing ports get one, and

@@ -17,14 +17,19 @@ VlArbitrationConfig VlArbitrationConfig::paper_default(int num_vls) {
 
 VlArbiter::VlArbiter(VlArbitrationConfig config) {
   // Drop zero-weight entries: per spec they never transmit.
-  for (const auto& entry : config.high_priority) {
-    if (entry.weight > 0) high_.entries.push_back(entry);
-  }
-  for (const auto& entry : config.low_priority) {
-    if (entry.weight > 0) low_.entries.push_back(entry);
-  }
-  high_.refill();
-  low_.refill();
+  const auto load = [](TableState& table,
+                       const std::vector<VlArbitrationEntry>& entries) {
+    for (const auto& entry : entries) {
+      IBSEC_CHECK(entry.vl <= ib::kManagementVl)
+          << "arbitration entry for VL " << static_cast<int>(entry.vl);
+      if (entry.weight == 0) continue;
+      table.entries.push_back(entry);
+      table.vls |= 1u << entry.vl;
+    }
+    table.refill();
+  };
+  load(high_, config.high_priority);
+  load(low_, config.low_priority);
 }
 
 IBSEC_HOT void VlArbiter::on_sent(ib::VirtualLane vl, std::size_t bytes) {

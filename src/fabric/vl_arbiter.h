@@ -47,17 +47,27 @@ class VlArbiter {
   /// return true iff that VL has a packet that fits its credits. VL15 is
   /// NOT handled here (no arbitration applies to it). Templated on the
   /// predicate so the per-dispatch call stays a direct lambda invocation —
-  /// no std::function wrapper on the hot path.
+  /// no std::function wrapper on the hot path. A table holding no VL in
+  /// the `candidates` mask is not scanned; it is left as a failed scan
+  /// leaves it (same index, current entry's weight refilled).
   template <class Sendable>
-  IBSEC_HOT int pick(const Sendable& sendable) {
-    const int high = pick_from(high_, sendable);
+  IBSEC_HOT int pick(const Sendable& sendable,
+                     std::uint32_t candidates = ~std::uint32_t{0}) {
+    const int high = pick_from(high_, sendable, candidates);
     if (high >= 0) {
       if (obs_high_grants_ != nullptr) obs_high_grants_->inc();
       return high;
     }
-    const int low = pick_from(low_, sendable);
+    const int low = pick_from(low_, sendable, candidates);
     if (low >= 0 && obs_low_grants_ != nullptr) obs_low_grants_->inc();
     return low;
+  }
+
+  /// pick() over a bitmask: bit v of `sendable` is set iff VL v can send.
+  IBSEC_HOT int pick_mask(std::uint32_t sendable) {
+    return pick(
+        [sendable](ib::VirtualLane vl) { return (sendable >> vl & 1u) != 0; },
+        sendable);
   }
 
   /// Informs the arbiter that `bytes` were transmitted on `vl`, consuming
@@ -77,22 +87,28 @@ class VlArbiter {
     std::vector<VlArbitrationEntry> entries;
     std::size_t index = 0;
     std::uint32_t remaining = 0;  // 64-byte units left for current entry
+    std::uint32_t vls = 0;        // bit v set iff some entry names VL v
 
     bool empty() const { return entries.empty(); }
     void refill() {
       if (!entries.empty()) remaining = entries[index].weight;
     }
-    void advance() {
-      if (entries.empty()) return;
-      index = (index + 1) % entries.size();
+    void advance() {  // callers hold a non-empty table
+      if (++index == entries.size()) index = 0;
       refill();
     }
   };
 
   /// Scans a table WRR-style; returns the chosen VL or -1.
   template <class Sendable>
-  IBSEC_HOT int pick_from(TableState& table, const Sendable& sendable) {
-    if (table.empty()) return -1;
+  IBSEC_HOT int pick_from(TableState& table, const Sendable& sendable,
+                          std::uint32_t candidates) {
+    // No candidate in this table (or no entry): skip straight to where one
+    // full failed loop below would end, back at the start, weight refilled.
+    if ((table.vls & candidates) == 0) {
+      table.refill();
+      return -1;
+    }
     IBSEC_DCHECK(table.index < table.entries.size());
     IBSEC_DCHECK(table.remaining <= table.entries[table.index].weight);
     // Start at the current WRR position; if its weight is spent or it cannot

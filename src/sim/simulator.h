@@ -15,6 +15,7 @@
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "sim/event_queue.h"
+#include "sim/packet_pool.h"
 
 namespace ibsec::sim {
 
@@ -38,6 +39,11 @@ class Simulator {
   /// unconfigured log costs one inlined bool load.
   obs::AuditLog& audit() { return audit_; }
   const obs::AuditLog& audit() const { return audit_; }
+
+  /// This simulation's parked packets (see sim/packet_pool.h): every packet
+  /// queued at an output port, in flight on a link or crossing a switch.
+  PacketPool& packets() { return packets_; }
+  const PacketPool& packets() const { return packets_; }
 
   /// Records one enforcement decision on `pkt` made at `node` (a switch id
   /// or CA node): bumps `counter`, then emits the row's audit event and
@@ -116,6 +122,7 @@ class Simulator {
   obs::Registry obs_;
   obs::TraceRecorder trace_;
   obs::AuditLog audit_;
+  PacketPool packets_;
 };
 
 }  // namespace ibsec::sim

@@ -3,20 +3,23 @@
 //   1. InlineFunction — the event queue's callback type — stores captures
 //      inline, relocates them on move, and only heap-allocates past the
 //      declared capacity (which the hot call sites static_assert against).
-//   2. PacketPool recycles the slots that park packets between devices.
+//   2. The Simulator's PacketPool recycles the slots that park packets, in
+//      chunks of 64.
 //   3. The streaming serialization / CRC / MAC paths produce byte- and
 //      tag-identical results to materializing the covered bytes (the wire
 //      image from serialize(), masked for the ICRC) and hashing them —
 //      property-tested over randomized packets with a seeded Rng, so the
 //      equivalence holds across header combinations and payload sizes, not
 //      just the golden packets other suites pin.
-//   4. The event-scheduling steady state, the packet CRCs, DRBG draws and
-//      the AES-based MAC tags perform zero heap allocations, measured with
-//      the global allocation probe.
+//   4. The event-scheduling steady state, a congested output port, the
+//      packet CRCs, DRBG draws and the AES-based MAC tags perform zero heap
+//      allocations, measured with the global allocation probe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -31,9 +34,10 @@
 #include "crypto/pmac.h"
 #include "crypto/sha256.h"
 #include "crypto/umac.h"
-#include "fabric/packet_pool.h"
+#include "fabric/link.h"
 #include "ib/packet.h"
 #include "sim/inline_function.h"
+#include "sim/packet_pool.h"
 #include "sim/simulator.h"
 
 namespace ibsec {
@@ -173,7 +177,7 @@ ib::Packet make_ud_packet(std::size_t payload_size) {
 }
 
 TEST(PacketPool, ReusesSlotsInsteadOfGrowing) {
-  fabric::PacketPool pool;
+  sim::PacketPool pool;
   for (int round = 0; round < 100; ++round) {
     ib::Packet* slot = pool.acquire(make_ud_packet(64));
     ib::Packet out = std::move(*slot);
@@ -184,7 +188,7 @@ TEST(PacketPool, ReusesSlotsInsteadOfGrowing) {
 }
 
 TEST(PacketPool, PacketContentSurvivesTheSlot) {
-  fabric::PacketPool pool;
+  sim::PacketPool pool;
   ib::Packet original = make_ud_packet(128);
   const auto wire_before = original.serialize();
   ib::Packet* slot = pool.acquire(std::move(original));
@@ -194,7 +198,7 @@ TEST(PacketPool, PacketContentSurvivesTheSlot) {
 }
 
 TEST(PacketPool, GrowsToConcurrentInFlightCountThenStabilizes) {
-  fabric::PacketPool pool;
+  sim::PacketPool pool;
   std::vector<ib::Packet*> in_flight;
   for (int i = 0; i < 8; ++i) in_flight.push_back(pool.acquire(make_ud_packet(16)));
   EXPECT_EQ(pool.capacity(), 8u);
@@ -204,6 +208,26 @@ TEST(PacketPool, GrowsToConcurrentInFlightCountThenStabilizes) {
     pool.release(slot);
   }
   EXPECT_EQ(pool.capacity(), 8u);
+}
+
+TEST(PacketPool, GrowsInChunksOf64AndCountsSlotsInUse) {
+  sim::PacketPool pool;
+  std::vector<ib::Packet> packets(65);
+  std::vector<ib::Packet*> slots;
+  slots.reserve(packets.size());
+  std::vector<int> growths;  // the acquires that allocated
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    const std::uint64_t before = alloc_count();
+    slots.push_back(pool.acquire(std::move(packets[i])));
+    if (alloc_count() != before) growths.push_back(static_cast<int>(i) + 1);
+  }
+  EXPECT_EQ(growths, (std::vector<int>{1, 65}))
+      << "a chunk holds 64 slots: only the 1st and the 65th acquire grow";
+  EXPECT_EQ(pool.capacity(), 65u);
+  EXPECT_EQ(pool.in_use(), 65u);
+  for (std::size_t i = 0; i < 10; ++i) pool.release(slots[i]);
+  EXPECT_EQ(pool.in_use(), 55u);
+  EXPECT_EQ(pool.capacity(), 65u);
 }
 
 TEST(RingQueue, FifoOrderAcrossWraparound) {
@@ -550,6 +574,56 @@ TEST(ZeroAllocSteadyState, SelfReschedulingEventsAllocateNothing) {
   EXPECT_EQ(allocs_after - allocs_before, 0u)
       << "scheduling/dispatching " << (fired_after - fired_before)
       << " events allocated " << (allocs_after - allocs_before) << " times";
+}
+
+// An output port held 80 packets deep cycles them through enqueue,
+// arbitration, dispatch and delivery with no allocation once its ring, the
+// packet pool and the event queue have grown: the entries are handles, and
+// the packets stay in their pool slots from enqueue to delivery.
+TEST(ZeroAllocSteadyState, CongestedPortAllocatesNothing) {
+  // Takes each arriving packet back for the next round and frees its buffer
+  // bytes, so credits flow back to the port.
+  struct Sink final : fabric::Device {
+    fabric::InputPort in;
+    std::vector<ib::Packet> arrived;
+    void packet_arrived(ib::Packet&& pkt, int /*in_port*/) override {
+      const ib::VirtualLane vl = pkt.lrh.vl;
+      in.accept(pkt, vl);
+      in.release(pkt, vl);
+      arrived.push_back(std::move(pkt));
+    }
+    std::string name() const override { return "sink"; }
+  };
+  constexpr std::size_t kDepth = 80;
+  sim::Simulator sim;
+  const fabric::LinkParams params;
+  fabric::OutputPort port(sim, params, "congested");
+  Sink sink;
+  sink.in = fabric::InputPort(&sim, params, &port);
+  sink.arrived.reserve(kDepth);
+  port.connect(&sink, 0);
+  std::vector<ib::Packet> batch(kDepth, make_ud_packet(256));
+  for (ib::Packet& pkt : batch) pkt.lrh.vl = 0;
+
+  std::uint64_t steady_allocs = 0;
+  std::size_t peak_depth = 0;
+  for (int round = 0; round < 8; ++round) {
+    const std::uint64_t before = alloc_count();
+    for (ib::Packet& pkt : batch) {
+      port.enqueue(sim.packets().acquire(std::move(pkt)), 0);
+    }
+    peak_depth = std::max(peak_depth, port.queue_depth(0));
+    sim.run();
+    if (round >= 2) steady_allocs += alloc_count() - before;
+    ASSERT_EQ(sink.arrived.size(), kDepth);
+    std::swap(batch, sink.arrived);
+    sink.arrived.clear();
+  }
+  EXPECT_GE(peak_depth, 64u);
+  EXPECT_EQ(port.packets_sent(), 8 * kDepth);
+  EXPECT_EQ(sim.packets().in_use(), 0u);
+  EXPECT_EQ(steady_allocs, 0u)
+      << "6 rounds of " << kDepth << " packets through a congested port";
 }
 
 // Computing and checking both CRCs is heap-free, on a packet whose pieces

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
+
+#include "common/rng.h"
 
 #include "fabric/topology.h"
 #include "fabric/vl_arbiter.h"
@@ -88,6 +91,131 @@ TEST(VlArbiter, PaperDefaultShape) {
   for (const auto& entry : config.low_priority) {
     EXPECT_NE(entry.vl, ib::kManagementVl);
   }
+}
+
+// --- differential: pick_mask and pick against the original scan -------------
+
+/// The WRR scan as written before pick_mask: each table walked lazily from
+/// its pointer with `%` wrap-around, no per-table short-circuit. The
+/// arbiter's pick_mask() and pick() must choose the VL this does, step by
+/// step, and leave the tables where it leaves them.
+class ReferenceArbiter {
+ public:
+  explicit ReferenceArbiter(const VlArbitrationConfig& config) {
+    for (const auto& entry : config.high_priority) {
+      if (entry.weight > 0) high_.entries.push_back(entry);
+    }
+    for (const auto& entry : config.low_priority) {
+      if (entry.weight > 0) low_.entries.push_back(entry);
+    }
+    high_.refill();
+    low_.refill();
+  }
+
+  template <class Sendable>
+  int pick(const Sendable& sendable) {
+    const int high = pick_from(high_, sendable);
+    if (high >= 0) return high;
+    return pick_from(low_, sendable);
+  }
+
+  void on_sent(ib::VirtualLane vl, std::size_t bytes) {
+    if (last_table_ == nullptr || last_table_->entries.empty()) return;
+    Table& table = *last_table_;
+    if (table.entries[table.index].vl != vl) return;
+    const auto units = static_cast<std::uint32_t>((bytes + 63) / 64);
+    if (units >= table.remaining) {
+      table.advance();
+    } else {
+      table.remaining -= units;
+    }
+  }
+
+ private:
+  struct Table {
+    std::vector<VlArbitrationEntry> entries;
+    std::size_t index = 0;
+    std::uint32_t remaining = 0;
+    void refill() {
+      if (!entries.empty()) remaining = entries[index].weight;
+    }
+    void advance() {
+      if (entries.empty()) return;
+      index = (index + 1) % entries.size();
+      refill();
+    }
+  };
+
+  template <class Sendable>
+  int pick_from(Table& table, const Sendable& sendable) {
+    if (table.entries.empty()) return -1;
+    for (std::size_t scanned = 0; scanned < table.entries.size(); ++scanned) {
+      const VlArbitrationEntry& entry = table.entries[table.index];
+      if (table.remaining > 0 && sendable(entry.vl)) {
+        last_table_ = &table;
+        return entry.vl;
+      }
+      table.advance();
+    }
+    return -1;
+  }
+
+  Table high_;
+  Table low_;
+  Table* last_table_ = nullptr;
+};
+
+std::vector<VlArbitrationEntry> random_table(Rng& rng) {
+  std::vector<VlArbitrationEntry> table(1 + rng.uniform(64));
+  for (auto& entry : table) {
+    // Data VLs only, so a 64-entry table repeats VLs; one entry in eight
+    // has weight 0 and must never serve.
+    entry.vl = static_cast<ib::VirtualLane>(rng.uniform(15));
+    entry.weight = rng.uniform(8) == 0
+                       ? 0
+                       : static_cast<std::uint8_t>(1 + rng.uniform(255));
+  }
+  return table;
+}
+
+TEST(VlArbiter, PickMaskAndPickMatchTheOriginalScan) {
+  Rng rng(2005);
+  std::uint64_t steps = 0;
+  std::uint64_t grants = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    VlArbitrationConfig config;
+    config.high_priority = random_table(rng);
+    config.low_priority = random_table(rng);
+    ReferenceArbiter reference(config);
+    VlArbiter by_mask(config);
+    VlArbiter by_predicate(config);
+    for (int step = 0; step < 1000; ++step, ++steps) {
+      // Sparse sets as often as dense ones, so whole tables often hold no
+      // sendable VL and the short-circuit runs.
+      std::uint32_t sendable = static_cast<std::uint32_t>(rng.next_u64());
+      for (std::uint64_t thin = rng.uniform(4); thin > 0; --thin) {
+        sendable &= static_cast<std::uint32_t>(rng.next_u64());
+      }
+      sendable &= 0x7FFF;
+      const auto in_set = [sendable](ib::VirtualLane vl) {
+        return (sendable >> vl & 1u) != 0;
+      };
+      const int want = reference.pick(in_set);
+      ASSERT_EQ(by_mask.pick_mask(sendable), want)
+          << "trial " << trial << " step " << step;
+      ASSERT_EQ(by_predicate.pick(in_set), want)
+          << "trial " << trial << " step " << step;
+      if (want < 0) continue;
+      ++grants;
+      const auto vl = static_cast<ib::VirtualLane>(want);
+      const std::size_t bytes = 1 + rng.uniform(4200);
+      reference.on_sent(vl, bytes);
+      by_mask.on_sent(vl, bytes);
+      by_predicate.on_sent(vl, bytes);
+    }
+  }
+  EXPECT_GE(steps, 100'000u);
+  EXPECT_GT(grants, steps / 4);
 }
 
 // --- end-to-end: bandwidth sharing on one congested link ---------------------
