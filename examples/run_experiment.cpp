@@ -13,9 +13,12 @@
 #include <cstring>
 #include <string>
 
+#include "common/spec_text.h"
 #include "workload/scenario.h"
 
 using namespace ibsec;
+using spec_text::parse_double;
+using spec_text::parse_int;
 
 namespace {
 
@@ -76,12 +79,6 @@ void usage(const char* prog) {
       prog);
 }
 
-bool parse_double(const char* s, double& out) {
-  char* end = nullptr;
-  out = std::strtod(s, &end);
-  return end != s && *end == '\0';
-}
-
 bool write_text_file(const std::string& path, const std::string& body) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return false;
@@ -134,12 +131,14 @@ int main(int argc, char** argv) {
       if (out.empty()) out = fallback;
       return true;
     };
+    // Numeric flags parse straight into their field (or into these); a
+    // value that does not parse falls through to the usage error below.
     double value = 0;
+    std::size_t count = 0;
     if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
-    } else if (arg == "--seed") {
-      cfg.seed = std::strtoull(next(), nullptr, 10);
+    } else if (arg == "--seed" && parse_int(next(), cfg.seed)) {
     } else if (arg == "--topology") {
       const char* spec = next();
       const auto topo = fabric::TopologySpec::parse(spec);
@@ -164,15 +163,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--realtime" && parse_double(next(), value)) {
       cfg.realtime_rate = value;
       cfg.enable_realtime = value > 0;
-    } else if (arg == "--attackers") {
-      cfg.num_attackers = std::atoi(next());
+    } else if (arg == "--attackers" && parse_int(next(), cfg.num_attackers)) {
     } else if (arg == "--attack-duty" && parse_double(next(), value)) {
       cfg.attack_probability = value;
-    } else if (arg == "--buffer-mtus") {
-      cfg.fabric.link.buffer_bytes_per_vl =
-          static_cast<std::size_t>(std::atoi(next())) * 1088;
-    } else if (arg == "--partitions") {
-      cfg.num_partitions = std::atoi(next());
+    } else if (arg == "--buffer-mtus" && parse_int(next(), count)) {
+      cfg.fabric.link.buffer_bytes_per_vl = count * 1088;
+    } else if (arg == "--partitions" && parse_int(next(), cfg.num_partitions)) {
     } else if (arg == "--filter") {
       const std::string mode = next();
       if (mode == "none") cfg.fabric.filter_mode = fabric::FilterMode::kNone;
@@ -234,8 +230,8 @@ int main(int argc, char** argv) {
       cfg.rc.enabled = value > 0;
     } else if (optional_path("--trace", "trace.json", chrome_trace_path)) {
       cfg.trace.enabled = true;
-    } else if (arg == "--trace-sample") {
-      cfg.trace.sample_every = std::strtoull(next(), nullptr, 10);
+    } else if (arg == "--trace-sample" &&
+               parse_int(next(), cfg.trace.sample_every)) {
       if (cfg.trace.sample_every == 0) cfg.trace.sample_every = 1;
     } else if (arg == "--breakdown") {
       breakdown_path = next();
@@ -252,7 +248,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--metrics") {
       metrics_path = next();
     } else {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
+      std::fprintf(stderr, "unknown option or bad value: %s\n", arg.c_str());
       usage(argv[0]);
       return 2;
     }

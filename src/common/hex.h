@@ -1,4 +1,4 @@
-// Hex encoding/decoding helpers, mainly for crypto test vectors and logs.
+// Hex encoding and ASCII byte helpers for digests, logs and examples.
 #pragma once
 
 #include <cstdint>
@@ -11,10 +11,6 @@ namespace ibsec {
 
 /// Lower-case hex string of `data` ("" for empty input).
 std::string to_hex(std::span<const std::uint8_t> data);
-
-/// Parses a hex string (case-insensitive, even length, no separators).
-/// Throws std::invalid_argument on malformed input.
-std::vector<std::uint8_t> from_hex(std::string_view hex);
 
 /// Bytes of an ASCII string, for feeding string test vectors to digests.
 std::vector<std::uint8_t> ascii_bytes(std::string_view s);

@@ -1,8 +1,6 @@
 #include "crypto/pmac.h"
 
 #include <cstring>
-
-#include "common/annotations.h"
 #include <stdexcept>
 
 namespace ibsec::crypto {
@@ -108,8 +106,9 @@ Aes128::Block Pmac::tag(std::span<const std::uint8_t> message) const {
   return out;
 }
 
-std::uint32_t Pmac::whiten32(const Aes128::Block& full,
-                             std::uint64_t nonce) const {
+std::uint32_t Pmac::tag32(std::span<const std::uint8_t> message,
+                          std::uint64_t nonce) const {
+  const Aes128::Block full = tag(message);
   // Whiten with an encrypted nonce block (PMAC is deterministic by itself).
   Aes128::Block nonce_block{}, pad;
   for (int i = 0; i < 8; ++i) {
@@ -124,57 +123,6 @@ std::uint32_t Pmac::whiten32(const Aes128::Block& full,
          (static_cast<std::uint32_t>(pad[0]) << 24 |
           static_cast<std::uint32_t>(pad[1]) << 16 |
           static_cast<std::uint32_t>(pad[2]) << 8 | pad[3]);
-}
-
-std::uint32_t Pmac::tag32(std::span<const std::uint8_t> message,
-                          std::uint64_t nonce) const {
-  return whiten32(tag(message), nonce);
-}
-
-IBSEC_HOT void Pmac::Stream::update(std::span<const std::uint8_t> data) {
-  std::size_t offset = 0;
-  while (offset < data.size()) {
-    if (pending_len_ == 16) {
-      // A full pending block with more data behind it is an intermediate
-      // block; the Gray-code offset walk uses its 1-based index.
-      const std::uint64_t i = ++blocks_absorbed_;
-      xor_into(offset_,
-               parent_->l_shifted_[static_cast<std::size_t>(ntz(i))]);
-      Aes128::Block scratch = pending_;
-      xor_into(scratch, offset_);
-      Aes128::Block enc;
-      parent_->cipher_.encrypt_block(scratch.data(), enc.data());
-      xor_into(sigma_, enc);
-      pending_len_ = 0;
-    }
-    const std::size_t take =
-        std::min<std::size_t>(16 - pending_len_, data.size() - offset);
-    std::memcpy(pending_.data() + pending_len_, data.data() + offset, take);
-    pending_len_ += take;
-    offset += take;
-  }
-}
-
-IBSEC_HOT Aes128::Block Pmac::Stream::final() const {
-  Aes128::Block sigma = sigma_;
-  if (pending_len_ == 16) {
-    // Final full block: Sigma ^= M_m ^ (L * x^-1).
-    xor_into(sigma, pending_);
-    xor_into(sigma, parent_->l_inv_);
-  } else {
-    // Partial (or empty) final block: pad with 10*.
-    Aes128::Block scratch{};
-    std::memcpy(scratch.data(), pending_.data(), pending_len_);
-    scratch[pending_len_] = 0x80;
-    xor_into(sigma, scratch);
-  }
-  Aes128::Block out;
-  parent_->cipher_.encrypt_block(sigma.data(), out.data());
-  return out;
-}
-
-IBSEC_HOT std::uint32_t Pmac::Stream::final32(std::uint64_t nonce) const {
-  return parent_->whiten32(final(), nonce);
 }
 
 }  // namespace ibsec::crypto

@@ -41,44 +41,7 @@ class Pmac {
   std::uint32_t tag32(std::span<const std::uint8_t> message,
                       std::uint64_t nonce) const;
 
-  /// Incremental interface: absorb the message in arbitrary pieces, then
-  /// final()/final32(nonce) — identical to tag()/tag32() over the
-  /// concatenation. Reusable via reset().
-  class Stream {
-   public:
-    explicit Stream(const Pmac& parent) : parent_(&parent) {}
-
-    void reset() {
-      sigma_.fill(0);
-      offset_.fill(0);
-      pending_len_ = 0;
-      blocks_absorbed_ = 0;
-    }
-    void update(std::span<const std::uint8_t> data);
-    Aes128::Block final() const;
-    std::uint32_t final32(std::uint64_t nonce) const;
-
-   private:
-    const Pmac* parent_;
-    Aes128::Block sigma_{};
-    Aes128::Block offset_{};
-    // One block of lookahead: a full pending block is only encrypted into
-    // sigma when more data arrives, because PMAC folds the *final* full
-    // block in unencrypted and we cannot know a block is final until
-    // final().
-    Aes128::Block pending_{};
-    std::size_t pending_len_ = 0;
-    std::uint64_t blocks_absorbed_ = 0;
-  };
-
-  Stream stream() const { return Stream(*this); }
-
  private:
-  /// tag32's nonce-whitening stage, shared with Stream::final32.
-  std::uint32_t whiten32(const Aes128::Block& full, std::uint64_t nonce) const;
-
-  Aes128::Block offset_for_index(std::uint64_t i) const;
-
   Aes128 cipher_;
   Aes128::Block l_{};         // E_K(0)
   Aes128::Block l_inv_{};     // L * x^-1

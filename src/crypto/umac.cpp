@@ -141,9 +141,8 @@ std::uint64_t HashIteration::nh_block(const std::uint8_t* data,
   return y;
 }
 
-void HashIteration::stream_absorb(std::uint64_t& poly_y,
-                                  const std::uint8_t* data,
-                                  std::size_t len) const {
+void HashIteration::absorb(std::uint64_t& poly_y, const std::uint8_t* data,
+                           std::size_t len) const {
   const std::uint64_t m = nh_block(data, len);
   if (m >= kMaxWordRange) {
     // Out-of-range values are encoded as (marker, m - offset) so the hash
@@ -155,9 +154,9 @@ void HashIteration::stream_absorb(std::uint64_t& poly_y,
   }
 }
 
-std::uint32_t HashIteration::stream_finish(bool multi, std::uint64_t poly_y,
-                                           const std::uint8_t* last,
-                                           std::size_t len) const {
+std::uint32_t HashIteration::finish(bool multi, std::uint64_t poly_y,
+                                    const std::uint8_t* last,
+                                    std::size_t len) const {
   std::array<std::uint8_t, 16> l2_out{};
   std::uint64_t value;
   if (!multi) {
@@ -166,7 +165,7 @@ std::uint32_t HashIteration::stream_finish(bool multi, std::uint64_t poly_y,
     // block.
     value = nh_block(last, len);
   } else {
-    stream_absorb(poly_y, last, len);
+    absorb(poly_y, last, len);
     value = poly_y;
   }
   for (int i = 0; i < 8; ++i) {
@@ -192,16 +191,16 @@ std::uint32_t HashIteration::hash(std::span<const std::uint8_t> message) const {
   // but the last folded into the L2 polynomial as they are produced (no
   // materialized NH-value list).
   if (message.size() <= kL1BlockBytes) {
-    return stream_finish(/*multi=*/false, 1, message.data(), message.size());
+    return finish(/*multi=*/false, 1, message.data(), message.size());
   }
   std::uint64_t poly_y = 1;
   std::size_t offset = 0;
   while (message.size() - offset > kL1BlockBytes) {
-    stream_absorb(poly_y, message.data() + offset, kL1BlockBytes);
+    absorb(poly_y, message.data() + offset, kL1BlockBytes);
     offset += kL1BlockBytes;
   }
-  return stream_finish(/*multi=*/true, poly_y, message.data() + offset,
-                       message.size() - offset);
+  return finish(/*multi=*/true, poly_y, message.data() + offset,
+                message.size() - offset);
 }
 
 }  // namespace umac_detail
@@ -270,34 +269,6 @@ IBSEC_HOT std::uint32_t detail::umac32_tag(
     throw std::invalid_argument("Umac32: message too long");
   }
   return umac.pdf_xor(umac.iter_.hash(message), nonce, pad_kernel);
-}
-
-IBSEC_HOT void Umac32::Stream::update(std::span<const std::uint8_t> data) {
-  const auto& iter = parent_->iter_;
-  std::size_t offset = 0;
-  while (offset < data.size()) {
-    if (buffered_ == buf_.size()) {
-      // A full buffer with more data behind it is an intermediate block.
-      iter.stream_absorb(poly_y_, buf_.data(), buf_.size());
-      multi_ = true;
-      buffered_ = 0;
-    }
-    const std::size_t take =
-        std::min(buf_.size() - buffered_, data.size() - offset);
-    std::memcpy(buf_.data() + buffered_, data.data() + offset, take);
-    buffered_ += take;
-    offset += take;
-  }
-  total_ += data.size();
-}
-
-IBSEC_HOT std::uint32_t Umac32::Stream::final(std::uint64_t nonce) const {
-  if (total_ > kMaxMessageBytes) {
-    throw std::invalid_argument("Umac32: message too long");
-  }
-  const std::uint32_t hashed =
-      parent_->iter_.stream_finish(multi_, poly_y_, buf_.data(), buffered_);
-  return parent_->pdf_xor(hashed, nonce, Aes128::dispatched_kernel());
 }
 
 Umac64::Umac64(std::span<const std::uint8_t> key)

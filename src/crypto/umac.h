@@ -64,22 +64,18 @@ class HashIteration {
   /// 32-bit universal-hash output for the message (before the PDF pad).
   std::uint32_t hash(std::span<const std::uint8_t> message) const;
 
-  // Streaming internals (used by Umac32::Stream and by hash() itself, so
-  // the two paths share one block pipeline by construction).
-  /// Folds one *intermediate* L1 block (full or final-before-more-data)
-  /// into the running L2 polynomial state.
-  void stream_absorb(std::uint64_t& poly_y, const std::uint8_t* data,
-                     std::size_t len) const;
-  /// Hashes the last block and finishes L2 + L3. `multi` selects the
-  /// single-block identity-L2 fast path vs. the polynomial path.
-  std::uint32_t stream_finish(bool multi, std::uint64_t poly_y,
-                              const std::uint8_t* last,
-                              std::size_t len) const;
-
   static constexpr std::size_t kL1BlockBytes = 1024;
 
  private:
   std::uint64_t nh_block(const std::uint8_t* data, std::size_t len) const;
+  /// Folds one L1 block that is not the last into the running L2
+  /// polynomial state.
+  void absorb(std::uint64_t& poly_y, const std::uint8_t* data,
+              std::size_t len) const;
+  /// Hashes the last block and finishes L2 + L3. `multi` selects the
+  /// single-block identity-L2 fast path vs. the polynomial path.
+  std::uint32_t finish(bool multi, std::uint64_t poly_y,
+                       const std::uint8_t* last, std::size_t len) const;
 
   std::array<std::uint32_t, kL1BlockBytes / 4> nh_key_{};
   std::uint64_t poly_key_ = 0;
@@ -111,40 +107,9 @@ class Umac32 {
     return tag(message, nonce) == expected;
   }
 
-  /// Incremental interface: absorb the message in arbitrary pieces, then
-  /// final(nonce) — produces exactly tag(concatenation, nonce) without a
-  /// materialized message buffer. Reusable via reset().
-  class Stream {
-   public:
-    explicit Stream(const Umac32& parent) : parent_(&parent) {}
-
-    void reset() {
-      buffered_ = 0;
-      multi_ = false;
-      poly_y_ = 1;
-      total_ = 0;
-    }
-    void update(std::span<const std::uint8_t> data);
-    std::uint32_t final(std::uint64_t nonce) const;
-
-   private:
-    const Umac32* parent_;
-    // One L1 block of lookahead: a full buffer is only folded into the L2
-    // polynomial when more data arrives, so the final block — whose NH value
-    // L2 treats specially on the single-block path — is always still here
-    // at final() time.
-    std::array<std::uint8_t, umac_detail::HashIteration::kL1BlockBytes> buf_;
-    std::size_t buffered_ = 0;
-    bool multi_ = false;
-    std::uint64_t poly_y_ = 1;
-    std::size_t total_ = 0;
-  };
-
-  Stream stream() const { return Stream(*this); }
-
  private:
-  /// The PDF stage shared by tag() and Stream::final(): AES of the
-  /// lane-masked nonce, on `pad_kernel`, XORed onto the hash output.
+  /// The PDF stage: AES of the lane-masked nonce, on `pad_kernel`, XORed
+  /// onto the hash output.
   std::uint32_t pdf_xor(std::uint32_t hashed, std::uint64_t nonce,
                         Aes128::EncryptFn pad_kernel) const;
 

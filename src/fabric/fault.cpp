@@ -1,101 +1,67 @@
 #include "fabric/fault.h"
 
 #include <cstdio>
-#include <cstdlib>
+
+#include "common/spec_text.h"
 
 namespace ibsec::fabric {
-namespace {
 
-std::vector<std::string_view> split(std::string_view s, char sep) {
-  std::vector<std::string_view> out;
-  while (!s.empty()) {
-    const std::size_t at = s.find(sep);
-    out.push_back(s.substr(0, at));
-    if (at == std::string_view::npos) break;
-    s.remove_prefix(at + 1);
-  }
-  return out;
-}
-
-bool parse_double(std::string_view s, double& out) {
-  const std::string str(s);
-  char* end = nullptr;
-  out = std::strtod(str.c_str(), &end);
-  return end != str.c_str() && *end == '\0';
-}
-
-/// Parses "123us" (or a bare number, read as microseconds) into picoseconds.
-bool parse_time_us(std::string_view s, SimTime& out) {
-  if (s.size() >= 2 && s.substr(s.size() - 2) == "us") {
-    s.remove_suffix(2);
-  }
-  double us = 0;
-  if (!parse_double(s, us) || us < 0) return false;
-  out = static_cast<SimTime>(us * 1e6);  // us -> ps
-  return true;
-}
-
-}  // namespace
+using spec_text::cut;
+using spec_text::parse_int;
+using spec_text::parse_probability;
+using spec_text::parse_time_us;
+using spec_text::split;
 
 std::optional<FaultCampaign> FaultCampaign::parse(std::string_view spec) {
   FaultCampaign campaign;
   for (std::string_view entry : split(spec, ';')) {
     if (entry.empty()) continue;
-    const std::size_t eq = entry.find('=');
-    if (eq == std::string_view::npos) return std::nullopt;
-    const std::string_view key = entry.substr(0, eq);
-    const std::string_view value = entry.substr(eq + 1);
-    double rate = 0;
+    std::string_view key, value;
+    if (!cut(entry, '=', key, value)) return std::nullopt;
     if (key == "seed") {
-      campaign.seed = std::strtoull(std::string(value).c_str(), nullptr, 10);
-    } else if (key == "drop" && parse_double(value, rate)) {
-      campaign.default_profile.drop_rate = rate;
-    } else if (key == "corrupt" && parse_double(value, rate)) {
-      campaign.default_profile.corruption_rate = rate;
+      if (!parse_int(value, campaign.seed)) return std::nullopt;
+    } else if (key == "drop") {
+      if (!parse_probability(value, campaign.default_profile.drop_rate)) {
+        return std::nullopt;
+      }
+    } else if (key == "corrupt") {
+      if (!parse_probability(value,
+                             campaign.default_profile.corruption_rate)) {
+        return std::nullopt;
+      }
     } else if (key == "dead-switch") {
-      campaign.dead_switches.push_back(
-          std::atoi(std::string(value).c_str()));
+      int sw = 0;
+      if (!parse_int(value, sw) || sw < 0) return std::nullopt;
+      campaign.dead_switches.push_back(sw);
     } else if (key == "link") {
       // link=<name>:<subkey>=<rate>[,<subkey>=<rate>...]
-      const std::size_t colon = value.find(':');
-      if (colon == std::string_view::npos) return std::nullopt;
-      const std::string name(value.substr(0, colon));
-      auto [it, inserted] =
-          campaign.link_overrides.try_emplace(name,
-                                              campaign.default_profile);
-      (void)inserted;
-      for (std::string_view sub : split(value.substr(colon + 1), ',')) {
-        const std::size_t sub_eq = sub.find('=');
-        if (sub_eq == std::string_view::npos) return std::nullopt;
-        if (!parse_double(sub.substr(sub_eq + 1), rate)) return std::nullopt;
-        if (sub.substr(0, sub_eq) == "drop") {
-          it->second.drop_rate = rate;
-        } else if (sub.substr(0, sub_eq) == "corrupt") {
-          it->second.corruption_rate = rate;
-        } else {
+      std::string_view name, subs;
+      if (!cut(value, ':', name, subs)) return std::nullopt;
+      FaultProfile& profile =
+          campaign.link_overrides
+              .try_emplace(std::string(name), campaign.default_profile)
+              .first->second;
+      for (std::string_view sub : split(subs, ',')) {
+        std::string_view sub_key, rate;
+        if (!cut(sub, '=', sub_key, rate)) return std::nullopt;
+        double* field = sub_key == "drop"      ? &profile.drop_rate
+                        : sub_key == "corrupt" ? &profile.corruption_rate
+                                               : nullptr;
+        if (field == nullptr || !parse_probability(rate, *field)) {
           return std::nullopt;
         }
       }
     } else if (key == "flap") {
       // flap=<name>:<down>us-<up>us   (empty <up> = down forever)
-      const std::size_t colon = value.find(':');
-      if (colon == std::string_view::npos) return std::nullopt;
-      const std::string name(value.substr(0, colon));
-      const std::string_view window = value.substr(colon + 1);
-      const std::size_t dash = window.find('-');
-      if (dash == std::string_view::npos) return std::nullopt;
+      std::string_view name, window, down, up;
+      if (!cut(value, ':', name, window) || !cut(window, '-', down, up)) {
+        return std::nullopt;
+      }
       LinkFlap flap;
-      if (!parse_time_us(window.substr(0, dash), flap.down_at)) {
-        return std::nullopt;
-      }
-      const std::string_view up = window.substr(dash + 1);
-      if (up.empty()) {
-        flap.up_at = -1;
-      } else if (!parse_time_us(up, flap.up_at)) {
-        return std::nullopt;
-      }
+      if (!parse_time_us(down, flap.down_at)) return std::nullopt;
+      if (!up.empty() && !parse_time_us(up, flap.up_at)) return std::nullopt;
       campaign.link_overrides
-          .try_emplace(name, campaign.default_profile)
+          .try_emplace(std::string(name), campaign.default_profile)
           .first->second.flaps.push_back(flap);
     } else {
       return std::nullopt;

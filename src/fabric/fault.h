@@ -73,7 +73,8 @@ struct FaultCampaign {
   ///   link=sw1.out3:drop=0.5      per-link override (subkeys drop/corrupt)
   ///   flap=sw1.out3:100us-300us   outage window on one link (us; -=forever)
   ///   dead-switch=5               switch 5 drops everything
-  /// Returns nullopt on a malformed spec.
+  /// Returns nullopt on a malformed spec, a rate outside [0, 1] or a
+  /// negative switch (common/spec_text.h reads every number).
   static std::optional<FaultCampaign> parse(std::string_view spec);
 
   /// One-line human-readable summary for experiment banners.

@@ -218,8 +218,6 @@ IBSEC_HOT void OutputPort::try_dispatch() {
       obs_bytes_->inc(bytes);
       try_dispatch();
     };
-    static_assert(
-        sim::EventQueue::Callback::fits_inline<decltype(line_free)>());
     sim_.after(tx_time, std::move(line_free));
 
     // Random wire loss: the packet serializes but never arrives. The far
@@ -261,10 +259,6 @@ IBSEC_HOT void OutputPort::try_dispatch() {
       peer_->packet_arrived(std::move(*slot), peer_port_);
       sim_.packets().release(slot);
     };
-    static_assert(sim::EventQueue::Callback::fits_inline<decltype(deliver)>(),
-                  "delivery capture must stay inside the event's inline "
-                  "storage — growing it past kInlineBytes re-introduces a "
-                  "heap allocation per packet hop");
     sim_.after(tx_time + params_.propagation, std::move(deliver));
     return;
   }

@@ -159,10 +159,6 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
     // the release triggers the upstream credit return.
     outputs_[static_cast<std::size_t>(out_port)]->enqueue(slot, pvl, &in);
   };
-  static_assert(sim::EventQueue::Callback::fits_inline<decltype(cross)>(),
-                "the crossing capture must stay inside the event's inline "
-                "storage — growing it past kInlineBytes re-introduces a heap "
-                "allocation per switch crossing");
   sim_.after(delay, std::move(cross));
 }
 

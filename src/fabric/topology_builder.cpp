@@ -188,7 +188,10 @@ TopologyBlueprint build_fattree(const FabricConfig& cfg) {
 // channel owner to forward to (no intra-group ping-pong). Valiant mode
 // detours via a per-destination intermediate group vg(d); groups other
 // than vg(d) and the destination group route toward vg(d), which routes
-// minimally — a loop-free DAG over groups with <= 2 global hops.
+// minimally. Each destination's routes form a loop-free DAG over groups
+// with <= 2 global hops, but the union over all destinations does not:
+// its channel dependencies have cycles, so Valiant routing can deadlock
+// on credits (the ROADMAP's deadlock item).
 TopologyBlueprint build_dragonfly(const FabricConfig& cfg) {
   const TopologySpec& spec = cfg.topology;
   const int a = spec.df_routers;

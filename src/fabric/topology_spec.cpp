@@ -1,51 +1,29 @@
 #include "fabric/topology_spec.h"
 
-#include <charconv>
 #include <cstdio>
-#include <vector>
+#include <initializer_list>
+
+#include "common/spec_text.h"
 
 namespace ibsec::fabric {
 
 namespace {
 
-bool parse_int(std::string_view text, int& out) {
-  int value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr != text.data() + text.size()) return false;
-  out = value;
-  return true;
-}
+using spec_text::cut;
+using spec_text::parse_int;
+using spec_text::split;
 
-bool parse_u64(std::string_view text, std::uint64_t& out) {
-  std::uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr != text.data() + text.size()) return false;
-  out = value;
-  return true;
-}
-
-std::vector<std::string_view> split(std::string_view text, char sep) {
-  std::vector<std::string_view> parts;
-  while (true) {
-    const std::size_t pos = text.find(sep);
-    if (pos == std::string_view::npos) {
-      parts.push_back(text);
-      return parts;
-    }
-    parts.push_back(text.substr(0, pos));
-    text.remove_prefix(pos + 1);
+/// Whether a host count given as a product of factors (each at least 1)
+/// fits the LID space: LIDs are node + 1, and IBA unicast LIDs end at
+/// 0xBFFF. Every partial product stays below 2^32, so nothing overflows.
+bool hosts_fit_lids(std::initializer_list<std::int64_t> factors) {
+  constexpr std::int64_t kMaxHosts = 0xBFFF;
+  std::int64_t hosts = 1;
+  for (const std::int64_t factor : factors) {
+    if (factor > kMaxHosts) return false;
+    hosts *= factor;
+    if (hosts > kMaxHosts) return false;
   }
-}
-
-/// Splits "key=value"; false when there is no '='.
-bool split_kv(std::string_view token, std::string_view& key,
-              std::string_view& value) {
-  const std::size_t eq = token.find('=');
-  if (eq == std::string_view::npos) return false;
-  key = token.substr(0, eq);
-  value = token.substr(eq + 1);
   return true;
 }
 
@@ -68,13 +46,8 @@ int TopologySpec::node_count(int fallback_w, int fallback_h) const {
 
 std::optional<TopologySpec> TopologySpec::parse(std::string_view text) {
   TopologySpec spec;
-  std::string_view kind = text;
-  std::string_view params;
-  const std::size_t colon = text.find(':');
-  if (colon != std::string_view::npos) {
-    kind = text.substr(0, colon);
-    params = text.substr(colon + 1);
-  }
+  std::string_view kind, params;
+  cut(text, ':', kind, params);
 
   if (kind == "mesh") {
     spec.kind = TopologyKind::kMesh;
@@ -85,25 +58,24 @@ std::optional<TopologySpec> TopologySpec::parse(std::string_view text) {
   } else {
     return std::nullopt;
   }
-  if (params.empty()) return spec;
-
   for (std::string_view token : split(params, ',')) {
     if (token.empty()) return std::nullopt;
     std::string_view key, value;
-    if (!split_kv(token, key, value)) {
+    if (!cut(token, '=', key, value)) {
       // The one bare token allowed: mesh dimensions "WxH".
-      if (spec.kind != TopologyKind::kMesh) return std::nullopt;
-      const std::size_t x = token.find('x');
-      if (x == std::string_view::npos) return std::nullopt;
-      if (!parse_int(token.substr(0, x), spec.mesh_width)) return std::nullopt;
-      if (!parse_int(token.substr(x + 1), spec.mesh_height)) {
+      std::string_view w, h;
+      if (spec.kind != TopologyKind::kMesh || !cut(token, 'x', w, h) ||
+          !parse_int(w, spec.mesh_width) || !parse_int(h, spec.mesh_height)) {
         return std::nullopt;
       }
-      if (spec.mesh_width < 1 || spec.mesh_height < 1) return std::nullopt;
+      if (spec.mesh_width < 1 || spec.mesh_height < 1 ||
+          !hosts_fit_lids({spec.mesh_width, spec.mesh_height})) {
+        return std::nullopt;
+      }
       continue;
     }
     if (key == "seed") {
-      if (!parse_u64(value, spec.ecmp_seed)) return std::nullopt;
+      if (!parse_int(value, spec.ecmp_seed)) return std::nullopt;
       continue;
     }
     switch (spec.kind) {
@@ -141,12 +113,21 @@ std::optional<TopologySpec> TopologySpec::parse(std::string_view text) {
     }
   }
 
+  if (spec.kind == TopologyKind::kFatTree) {
+    const int half = spec.fattree_k / 2;  // k^3/4 hosts
+    if (!hosts_fit_lids({half, half, spec.fattree_k})) return std::nullopt;
+  }
   if (spec.kind == TopologyKind::kDragonfly) {
     if (spec.df_routers < 1 || spec.df_hosts < 1 || spec.df_globals < 1) {
       return std::nullopt;
     }
-    const int g = spec.dragonfly_groups();
-    if (g < 2 || g > spec.df_routers * spec.df_globals + 1) {
+    // In 64 bits: a*h overflows int long before the host bound rejects it.
+    const std::int64_t max_groups =
+        std::int64_t{spec.df_routers} * spec.df_globals + 1;
+    const std::int64_t groups =
+        spec.df_groups > 0 ? spec.df_groups : max_groups;
+    if (spec.df_groups < 0 || groups < 2 || groups > max_groups ||
+        !hosts_fit_lids({spec.df_routers, spec.df_hosts, groups})) {
       return std::nullopt;
     }
   }

@@ -64,7 +64,8 @@ struct TopologySpec {
 
   /// Grammar: "mesh[:WxH]" | "fattree:k=K" | "dragonfly:a=A,p=P,h=H[,g=G]
   /// [,routing=minimal|valiant]"; every kind accepts a trailing ",seed=N".
-  /// Returns nullopt on any unrecognized kind, key, or malformed value.
+  /// Returns nullopt on any unrecognized kind, key, or malformed value, and
+  /// on a shape with more than 0xBFFF hosts (IBA's unicast LIDs).
   static std::optional<TopologySpec> parse(std::string_view text);
 
   /// Canonical spec string (parse(to_string()) is the identity).

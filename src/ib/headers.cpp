@@ -8,21 +8,11 @@ void store_be16(std::uint8_t* p, std::uint16_t v) {
   p[1] = static_cast<std::uint8_t>(v);
 }
 
-std::uint16_t load_be16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] << 8 | p[1]);
-}
-
 void store_be32(std::uint8_t* p, std::uint32_t v) {
   p[0] = static_cast<std::uint8_t>(v >> 24);
   p[1] = static_cast<std::uint8_t>(v >> 16);
   p[2] = static_cast<std::uint8_t>(v >> 8);
   p[3] = static_cast<std::uint8_t>(v);
-}
-
-std::uint32_t load_be32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) << 24 |
-         static_cast<std::uint32_t>(p[1]) << 16 |
-         static_cast<std::uint32_t>(p[2]) << 8 | p[3];
 }
 
 void store_be24(std::uint8_t* p, std::uint32_t v) {
@@ -31,33 +21,12 @@ void store_be24(std::uint8_t* p, std::uint32_t v) {
   p[2] = static_cast<std::uint8_t>(v);
 }
 
-std::uint32_t load_be24(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) << 16 |
-         static_cast<std::uint32_t>(p[1]) << 8 | p[2];
-}
-
 void store_be64(std::uint8_t* p, std::uint64_t v) {
   store_be32(p, static_cast<std::uint32_t>(v >> 32));
   store_be32(p + 4, static_cast<std::uint32_t>(v));
 }
 
-std::uint64_t load_be64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(load_be32(p)) << 32 | load_be32(p + 4);
-}
-
 }  // namespace
-
-bool opcode_has_deth(OpCode op) { return op == OpCode::kUdSendOnly; }
-
-bool opcode_has_reth(OpCode op) {
-  return op == OpCode::kRcRdmaWriteOnly || op == OpCode::kRcRdmaReadRequest;
-}
-
-bool opcode_has_aeth(OpCode op) {
-  return op == OpCode::kRcAck || op == OpCode::kRcRdmaReadResponse;
-}
-
-bool opcode_is_rc(OpCode op) { return op != OpCode::kUdSendOnly; }
 
 void Lrh::serialize(std::span<std::uint8_t, kWireSize> out) const {
   out[0] = static_cast<std::uint8_t>((vl & 0xF) << 4 | (lver & 0xF));
@@ -65,18 +34,6 @@ void Lrh::serialize(std::span<std::uint8_t, kWireSize> out) const {
   store_be16(&out[2], dlid);
   store_be16(&out[4], pkt_len & 0x07FF);
   store_be16(&out[6], slid);
-}
-
-Lrh Lrh::parse(std::span<const std::uint8_t, kWireSize> in) {
-  Lrh lrh;
-  lrh.vl = static_cast<VirtualLane>(in[0] >> 4);
-  lrh.lver = in[0] & 0xF;
-  lrh.sl = static_cast<ServiceLevel>(in[1] >> 4);
-  lrh.lnh = in[1] & 0x3;
-  lrh.dlid = load_be16(&in[2]);
-  lrh.pkt_len = load_be16(&in[4]) & 0x07FF;
-  lrh.slid = load_be16(&in[6]);
-  return lrh;
 }
 
 void Grh::serialize(std::span<std::uint8_t, kWireSize> out) const {
@@ -91,20 +48,6 @@ void Grh::serialize(std::span<std::uint8_t, kWireSize> out) const {
   std::copy(dgid.begin(), dgid.end(), out.begin() + 24);
 }
 
-Grh Grh::parse(std::span<const std::uint8_t, kWireSize> in) {
-  Grh grh;
-  grh.ip_ver = in[0] >> 4;
-  grh.tclass = static_cast<std::uint8_t>((in[0] & 0xF) << 4 | (in[1] >> 4));
-  grh.flow_label = static_cast<std::uint32_t>(in[1] & 0xF) << 16 |
-                   load_be16(&in[2]);
-  grh.pay_len = load_be16(&in[4]);
-  grh.nxt_hdr = in[6];
-  grh.hop_limit = in[7];
-  std::copy(in.begin() + 8, in.begin() + 24, grh.sgid.begin());
-  std::copy(in.begin() + 24, in.begin() + 40, grh.dgid.begin());
-  return grh;
-}
-
 void Bth::serialize(std::span<std::uint8_t, kWireSize> out) const {
   out[0] = static_cast<std::uint8_t>(opcode);
   out[1] = static_cast<std::uint8_t>((se ? 0x80 : 0) | (migreq ? 0x40 : 0) |
@@ -116,32 +59,10 @@ void Bth::serialize(std::span<std::uint8_t, kWireSize> out) const {
   store_be24(&out[9], psn & kPsnMask);
 }
 
-Bth Bth::parse(std::span<const std::uint8_t, kWireSize> in) {
-  Bth bth;
-  bth.opcode = static_cast<OpCode>(in[0]);
-  bth.se = (in[1] & 0x80) != 0;
-  bth.migreq = (in[1] & 0x40) != 0;
-  bth.pad_cnt = (in[1] >> 4) & 0x3;
-  bth.tver = in[1] & 0xF;
-  bth.pkey = load_be16(&in[2]);
-  bth.resv8a = in[4];
-  bth.dest_qp = load_be24(&in[5]);
-  bth.ack_req = (in[8] & 0x80) != 0;
-  bth.psn = load_be24(&in[9]);
-  return bth;
-}
-
 void Deth::serialize(std::span<std::uint8_t, kWireSize> out) const {
   store_be32(&out[0], qkey);
   out[4] = 0;  // reserved
   store_be24(&out[5], src_qp & kQpnMask);
-}
-
-Deth Deth::parse(std::span<const std::uint8_t, kWireSize> in) {
-  Deth deth;
-  deth.qkey = load_be32(&in[0]);
-  deth.src_qp = load_be24(&in[5]);
-  return deth;
 }
 
 void Reth::serialize(std::span<std::uint8_t, kWireSize> out) const {
@@ -150,24 +71,9 @@ void Reth::serialize(std::span<std::uint8_t, kWireSize> out) const {
   store_be32(&out[12], dma_len);
 }
 
-Reth Reth::parse(std::span<const std::uint8_t, kWireSize> in) {
-  Reth reth;
-  reth.va = load_be64(&in[0]);
-  reth.rkey = load_be32(&in[8]);
-  reth.dma_len = load_be32(&in[12]);
-  return reth;
-}
-
 void Aeth::serialize(std::span<std::uint8_t, kWireSize> out) const {
   out[0] = syndrome;
   store_be24(&out[1], msn & 0x00FFFFFF);
-}
-
-Aeth Aeth::parse(std::span<const std::uint8_t, kWireSize> in) {
-  Aeth aeth;
-  aeth.syndrome = in[0];
-  aeth.msn = load_be24(&in[1]);
-  return aeth;
 }
 
 }  // namespace ibsec::ib

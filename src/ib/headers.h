@@ -1,4 +1,5 @@
-// InfiniBand packet headers with byte-accurate wire encoding.
+// InfiniBand packet headers with byte-accurate wire encoding. The simulator
+// only writes wire images; the readers are test oracles (tests/support).
 //
 // Layouts follow IBA spec v1.1 (vol. 1, ch. 7-9):
 //   LRH  — Local Route Header, 8 bytes, link layer.
@@ -16,7 +17,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <span>
 
 #include "ib/types.h"
@@ -37,11 +37,6 @@ enum class OpCode : std::uint8_t {
   kUdSendOnly = 0x64,        // unreliable datagram SEND (carries DETH)
 };
 
-bool opcode_has_deth(OpCode op);
-bool opcode_has_reth(OpCode op);
-bool opcode_has_aeth(OpCode op);
-bool opcode_is_rc(OpCode op);
-
 /// Local Route Header (8 bytes).
 struct Lrh {
   static constexpr std::size_t kWireSize = 8;
@@ -55,7 +50,6 @@ struct Lrh {
   Lid slid = 0;
 
   void serialize(std::span<std::uint8_t, kWireSize> out) const;
-  static Lrh parse(std::span<const std::uint8_t, kWireSize> in);
   bool operator==(const Lrh&) const = default;
 };
 
@@ -74,7 +68,6 @@ struct Grh {
   std::array<std::uint8_t, 16> dgid{};
 
   void serialize(std::span<std::uint8_t, kWireSize> out) const;
-  static Grh parse(std::span<const std::uint8_t, kWireSize> in);
   bool operator==(const Grh&) const = default;
 };
 
@@ -95,7 +88,6 @@ struct Bth {
   // resv7b (7 bits, byte 8 low bits) transmitted as zero.
 
   void serialize(std::span<std::uint8_t, kWireSize> out) const;
-  static Bth parse(std::span<const std::uint8_t, kWireSize> in);
   bool operator==(const Bth&) const = default;
 };
 
@@ -107,7 +99,6 @@ struct Deth {
   Qpn src_qp = 0;  // 24 bits
 
   void serialize(std::span<std::uint8_t, kWireSize> out) const;
-  static Deth parse(std::span<const std::uint8_t, kWireSize> in);
   bool operator==(const Deth&) const = default;
 };
 
@@ -120,7 +111,6 @@ struct Reth {
   std::uint32_t dma_len = 0;
 
   void serialize(std::span<std::uint8_t, kWireSize> out) const;
-  static Reth parse(std::span<const std::uint8_t, kWireSize> in);
   bool operator==(const Reth&) const = default;
 };
 
@@ -132,7 +122,6 @@ struct Aeth {
   std::uint32_t msn = 0;  // 24 bits
 
   void serialize(std::span<std::uint8_t, kWireSize> out) const;
-  static Aeth parse(std::span<const std::uint8_t, kWireSize> in);
   bool operator==(const Aeth&) const = default;
 };
 

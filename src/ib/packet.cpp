@@ -62,22 +62,6 @@ std::array<std::uint8_t, 4> icrc_be(std::uint32_t icrc) {
           static_cast<std::uint8_t>(icrc >> 8), static_cast<std::uint8_t>(icrc)};
 }
 
-bool known_opcode(std::uint8_t raw) {
-  switch (static_cast<OpCode>(raw)) {
-    case OpCode::kRcSendFirst:
-    case OpCode::kRcSendMiddle:
-    case OpCode::kRcSendLast:
-    case OpCode::kRcSendOnly:
-    case OpCode::kRcAck:
-    case OpCode::kRcRdmaWriteOnly:
-    case OpCode::kRcRdmaReadRequest:
-    case OpCode::kRcRdmaReadResponse:
-    case OpCode::kUdSendOnly:
-      return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 std::size_t Packet::headers_size() const {
@@ -143,63 +127,6 @@ std::vector<std::uint8_t> Packet::serialize() const {
   out.push_back(static_cast<std::uint8_t>(vcrc >> 8));
   out.push_back(static_cast<std::uint8_t>(vcrc));
   return out;
-}
-
-std::optional<Packet> Packet::parse(std::span<const std::uint8_t> wire) {
-  if (wire.size() < Lrh::kWireSize + Bth::kWireSize + 6) return std::nullopt;
-
-  Packet pkt;
-  std::size_t offset = 0;
-  pkt.lrh = Lrh::parse(std::span<const std::uint8_t, Lrh::kWireSize>(
-      &wire[offset], Lrh::kWireSize));
-  offset += Lrh::kWireSize;
-
-  if (pkt.lrh.lnh == 3) {
-    if (wire.size() < offset + Grh::kWireSize + Bth::kWireSize + 6) {
-      return std::nullopt;
-    }
-    pkt.grh = Grh::parse(std::span<const std::uint8_t, Grh::kWireSize>(
-        &wire[offset], Grh::kWireSize));
-    offset += Grh::kWireSize;
-  }
-
-  if (!known_opcode(wire[offset])) return std::nullopt;
-  pkt.bth = Bth::parse(std::span<const std::uint8_t, Bth::kWireSize>(
-      &wire[offset], Bth::kWireSize));
-  offset += Bth::kWireSize;
-
-  if (opcode_has_deth(pkt.bth.opcode)) {
-    if (wire.size() < offset + Deth::kWireSize + 6) return std::nullopt;
-    pkt.deth = Deth::parse(std::span<const std::uint8_t, Deth::kWireSize>(
-        &wire[offset], Deth::kWireSize));
-    offset += Deth::kWireSize;
-  }
-  if (opcode_has_reth(pkt.bth.opcode)) {
-    if (wire.size() < offset + Reth::kWireSize + 6) return std::nullopt;
-    pkt.reth = Reth::parse(std::span<const std::uint8_t, Reth::kWireSize>(
-        &wire[offset], Reth::kWireSize));
-    offset += Reth::kWireSize;
-  }
-  if (opcode_has_aeth(pkt.bth.opcode)) {
-    if (wire.size() < offset + Aeth::kWireSize + 6) return std::nullopt;
-    pkt.aeth = Aeth::parse(std::span<const std::uint8_t, Aeth::kWireSize>(
-        &wire[offset], Aeth::kWireSize));
-    offset += Aeth::kWireSize;
-  }
-
-  if (wire.size() < offset + 6) return std::nullopt;
-  const std::size_t payload_len = wire.size() - offset - 6;
-  pkt.payload.assign(wire.begin() + static_cast<long>(offset),
-                     wire.begin() + static_cast<long>(offset + payload_len));
-  offset += payload_len;
-
-  pkt.icrc = static_cast<std::uint32_t>(wire[offset]) << 24 |
-             static_cast<std::uint32_t>(wire[offset + 1]) << 16 |
-             static_cast<std::uint32_t>(wire[offset + 2]) << 8 |
-             wire[offset + 3];
-  pkt.vcrc = static_cast<std::uint16_t>(wire[offset + 4] << 8 |
-                                        wire[offset + 5]);
-  return pkt;
 }
 
 }  // namespace ibsec::ib

@@ -44,14 +44,6 @@ std::int64_t Snapshot::sum_matching(std::string_view pattern) const {
   return sum;
 }
 
-std::size_t Snapshot::count_matching(std::string_view pattern) const {
-  std::size_t n = 0;
-  for (const auto& [name, value] : values) {
-    if (glob_match(pattern, name)) ++n;
-  }
-  return n;
-}
-
 std::string Snapshot::to_json() const {
   TextBuilder out;
   out.text('{');

@@ -113,8 +113,6 @@ struct Snapshot {
   /// Sum of every entry whose name matches `pattern` ('*' matches any run
   /// of characters, may appear multiple times).
   std::int64_t sum_matching(std::string_view pattern) const;
-  /// Number of entries matching `pattern`.
-  std::size_t count_matching(std::string_view pattern) const;
 
   /// Flat JSON object, keys sorted, integer values only — byte-stable.
   std::string to_json() const;

@@ -37,8 +37,6 @@ class KeyManager {
   virtual const crypto::MacFunction* rx_mac_previous(const ib::Packet&) {
     return nullptr;
   }
-
-  virtual const char* scheme_name() const = 0;
 };
 
 }  // namespace ibsec::security

@@ -39,7 +39,6 @@ class PartitionKeyManager final : public KeyManager {
   const crypto::MacFunction* tx_mac(const ib::Packet& pkt) override;
   const crypto::MacFunction* rx_mac(const ib::Packet& pkt) override;
   const crypto::MacFunction* rx_mac_previous(const ib::Packet& pkt) override;
-  const char* scheme_name() const override { return "partition-level"; }
 
  private:
   struct Entry {

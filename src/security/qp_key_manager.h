@@ -58,7 +58,6 @@ class QpKeyManager final : public KeyManager {
   // --- KeyManager -----------------------------------------------------------
   const crypto::MacFunction* tx_mac(const ib::Packet& pkt) override;
   const crypto::MacFunction* rx_mac(const ib::Packet& pkt) override;
-  const char* scheme_name() const override { return "qp-level"; }
 
  private:
   using PeerKey = std::tuple<ib::Qpn, int, ib::Qpn>;  // local, node, remote

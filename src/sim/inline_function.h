@@ -5,18 +5,13 @@
 // exceeds the library's tiny SSO window (16 bytes in libstdc++, and only for
 // trivially-copyable captures) — one malloc/free pair per simulated event.
 // InlineFunction stores the callable inline in `kInlineBytes` of aligned
-// storage instead, so every capture in src/ fits without touching the heap;
-// an oversized callable still works via a single owned heap cell, it just
-// pays the allocation it asks for.
+// storage instead, and never touches the heap.
 //
 // The capture-size contract: kInlineBytes (64 via EventQueue::Callback) is
-// sized for the largest hot-path capture in the tree. Hot call sites assert
-// it at compile time with
-//
-//   static_assert(sim::EventQueue::Callback::fits_inline<decltype(fn)>());
-//
-// so a capture that silently outgrows the buffer fails the build at the site
-// that grew, not as a perf regression months later.
+// sized for the largest capture in the tree, and emplace() static_asserts
+// fits_inline<F>() for every callable it stores. A capture that outgrows the
+// buffer fails the build at the site that grew; shrink the capture (capture
+// a pointer to the state instead of the state) rather than the contract.
 //
 // Move-only by design: the event queue moves callbacks in and out of its
 // heap; nothing in the simulator copies a scheduled callback, and deleting
@@ -42,7 +37,8 @@ class InlineFunction<R(Args...), InlineBytes> {
   static constexpr std::size_t kInlineBytes = InlineBytes;
   static constexpr std::size_t kAlignment = alignof(std::max_align_t);
 
-  /// True when a callable of type F is stored inline (no heap allocation).
+  /// True when a callable of type F fits the inline buffer; emplace()
+  /// accepts no other.
   template <class F>
   static constexpr bool fits_inline() {
     using D = std::decay_t<F>;
@@ -72,16 +68,11 @@ class InlineFunction<R(Args...), InlineBytes> {
                 std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
   void emplace(F&& f) {
     using D = std::decay_t<F>;
+    static_assert(fits_inline<F>(),
+                  "capture outgrows InlineFunction's inline buffer");
     reset();
-    if constexpr (fits_inline<F>()) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-      ops_ = inline_ops<D>();
-    } else {
-      // Oversized capture: one owned heap cell, pointer kept in the buffer.
-      ::new (static_cast<void*>(storage_))
-          D*(new D(std::forward<F>(f)));
-      ops_ = heap_ops<D>();
-    }
+    ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
+    ops_ = inline_ops<D>();
   }
 
   InlineFunction(InlineFunction&& other) noexcept { move_from(other); }
@@ -121,11 +112,11 @@ class InlineFunction<R(Args...), InlineBytes> {
     /// Move-constructs dst's storage from src's and destroys src's.
     void (*relocate)(void* dst, void* src);
     void (*destroy)(void*);
-    /// True when relocation is a plain byte copy (trivially-copyable inline
-    /// captures and the heap cell's raw pointer) — the common case for every
-    /// hot-path lambda, whose captures are pointers and integers. Lets
-    /// move_from() replace the indirect relocate call with one fixed-size
-    /// memcpy, which matters at tens of millions of event moves per second.
+    /// True when relocation is a plain byte copy (trivially-copyable
+    /// captures) — the common case for every hot-path lambda, whose captures
+    /// are pointers and integers. Lets move_from() replace the indirect
+    /// relocate call with one fixed-size memcpy, which matters at tens of
+    /// millions of event moves per second.
     /// False for an empty callable: it never writes the buffer, so the
     /// memcpy would read all of it uninitialized, and its relocate call
     /// is a no-op anyway.
@@ -156,26 +147,6 @@ class InlineFunction<R(Args...), InlineBytes> {
                              std::is_trivially_copyable_v<D> &&
                                  !std::is_empty_v<D>,
                              std::is_trivially_destructible_v<D>};
-    return &ops;
-  }
-
-  template <class D>
-  static R invoke_heap(void* s, Args&&... args) {
-    return (**static_cast<D**>(s))(std::forward<Args>(args)...);
-  }
-  static void relocate_heap(void* dst, void* src) {
-    ::new (dst) void*(*static_cast<void**>(src));
-  }
-  template <class D>
-  static void destroy_heap(void* s) {
-    delete *static_cast<D**>(s);
-  }
-  template <class D>
-  static const Ops* heap_ops() {
-    // Relocating a heap cell just moves its pointer, so byte-copying the
-    // buffer is always right; destruction still has to delete through it.
-    static constexpr Ops ops{&invoke_heap<D>, &relocate_heap,
-                             &destroy_heap<D>, true, false};
     return &ops;
   }
 

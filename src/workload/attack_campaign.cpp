@@ -3,56 +3,18 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/check.h"
+#include "common/spec_text.h"
 
 namespace ibsec::workload {
 
 namespace {
 
-std::vector<std::string_view> split(std::string_view s, char sep) {
-  std::vector<std::string_view> out;
-  while (!s.empty()) {
-    const std::size_t at = s.find(sep);
-    out.push_back(s.substr(0, at));
-    if (at == std::string_view::npos) break;
-    s.remove_prefix(at + 1);
-  }
-  return out;
-}
-
-bool parse_u64(std::string_view s, std::uint64_t& out) {
-  if (s.empty() || s[0] == '-') return false;
-  const std::string str(s);
-  char* end = nullptr;
-  out = std::strtoull(str.c_str(), &end, 10);
-  return end != str.c_str() && *end == '\0';
-}
-
-bool parse_int(std::string_view s, int& out) {
-  if (s.empty()) return false;
-  const std::string str(s);
-  char* end = nullptr;
-  out = static_cast<int>(std::strtol(str.c_str(), &end, 10));
-  return end != str.c_str() && *end == '\0';
-}
-
-/// Parses "123us" (or a bare number, read as microseconds) into picoseconds.
-bool parse_time_us(std::string_view s, SimTime& out) {
-  if (s.size() >= 2 && s.substr(s.size() - 2) == "us") {
-    s.remove_suffix(2);
-  }
-  const std::string str(s);
-  char* end = nullptr;
-  const double us = std::strtod(str.c_str(), &end);
-  if (end == str.c_str() || *end != '\0') return false;
-  // !(us >= 0) also rejects NaN; the upper bound keeps the ps conversion
-  // inside SimTime (int64) — casting an overflowing double is UB.
-  if (!(us >= 0) || us > 9.0e12) return false;
-  out = static_cast<SimTime>(us * 1e6);  // us -> ps
-  return true;
-}
+using spec_text::cut;
+using spec_text::parse_int;
+using spec_text::parse_time_us;
+using spec_text::split;
 
 bool kind_from_name(std::string_view name, AttackKind& out) {
   if (name == "scan") out = AttackKind::kScan;
@@ -114,46 +76,39 @@ std::optional<AttackCampaignSpec> AttackCampaignSpec::parse(
   AttackCampaignSpec out;
   for (std::string_view entry : split(spec, ';')) {
     if (entry.empty()) continue;
-    const std::size_t eq = entry.find('=');
-    if (eq == std::string_view::npos) return std::nullopt;
-    const std::string_view key = entry.substr(0, eq);
-    const std::string_view value = entry.substr(eq + 1);
+    std::string_view key, value;
+    if (!cut(entry, '=', key, value)) return std::nullopt;
     if (key == "seed") {
-      if (!parse_u64(value, out.seed)) return std::nullopt;
+      if (!parse_int(value, out.seed)) return std::nullopt;
     } else if (key == "attack") {
-      const std::size_t colon = value.find(':');
+      std::string_view name, subs;
+      cut(value, ':', name, subs);
       AttackSpec a;
-      if (!kind_from_name(value.substr(0, colon), a.kind)) {
-        return std::nullopt;
-      }
-      if (colon != std::string_view::npos) {
-        for (std::string_view sub : split(value.substr(colon + 1), ',')) {
-          const std::size_t sub_eq = sub.find('=');
-          if (sub_eq == std::string_view::npos) return std::nullopt;
-          const std::string_view k = sub.substr(0, sub_eq);
-          const std::string_view v = sub.substr(sub_eq + 1);
-          std::uint64_t u = 0;
-          if (k == "node") {
-            if (!parse_int(v, a.node)) return std::nullopt;
-          } else if (k == "victim") {
-            if (!parse_int(v, a.victim)) return std::nullopt;
-          } else if (k == "count") {
-            if (!parse_u64(v, a.count)) return std::nullopt;
-          } else if (k == "interval") {
-            if (!parse_time_us(v, a.interval)) return std::nullopt;
-          } else if (k == "keyspace") {
-            if (!parse_u64(v, u) || u == 0) return std::nullopt;
-            a.keyspace = u;
-          } else if (k == "qpn-range") {
-            if (!parse_u64(v, u) || u == 0 || u > 0xFFFFFF) {
-              return std::nullopt;
-            }
-            a.qpn_range = static_cast<std::uint32_t>(u);
-          } else if (k == "epochs") {
-            if (!parse_int(v, a.epochs) || a.epochs < 2) return std::nullopt;
-          } else {
+      if (!kind_from_name(name, a.kind)) return std::nullopt;
+      for (std::string_view sub : split(subs, ',')) {
+        std::string_view k, v;
+        if (!cut(sub, '=', k, v)) return std::nullopt;
+        std::uint64_t u = 0;
+        if (k == "node") {
+          if (!parse_int(v, a.node)) return std::nullopt;
+        } else if (k == "victim") {
+          if (!parse_int(v, a.victim)) return std::nullopt;
+        } else if (k == "count") {
+          if (!parse_int(v, a.count)) return std::nullopt;
+        } else if (k == "interval") {
+          if (!parse_time_us(v, a.interval)) return std::nullopt;
+        } else if (k == "keyspace") {
+          if (!parse_int(v, u) || u == 0) return std::nullopt;
+          a.keyspace = u;
+        } else if (k == "qpn-range") {
+          if (!parse_int(v, u) || u == 0 || u > 0xFFFFFF) {
             return std::nullopt;
           }
+          a.qpn_range = static_cast<std::uint32_t>(u);
+        } else if (k == "epochs") {
+          if (!parse_int(v, a.epochs) || a.epochs < 2) return std::nullopt;
+        } else {
+          return std::nullopt;
         }
       }
       out.attacks.push_back(a);

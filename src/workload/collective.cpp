@@ -1,10 +1,10 @@
 #include "workload/collective.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 
 #include "common/check.h"
+#include "common/spec_text.h"
 
 namespace ibsec::workload {
 
@@ -35,15 +35,6 @@ std::uint8_t fill_byte(const CollectiveMessage& msg, std::size_t i) {
                                    static_cast<int>(i));
 }
 
-bool parse_int_view(std::string_view text, int& out) {
-  int value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr != text.data() + text.size()) return false;
-  out = value;
-  return true;
-}
-
 int floor_pow2(int n) {
   int p = 1;
   while (p * 2 <= n) p *= 2;
@@ -53,14 +44,10 @@ int floor_pow2(int n) {
 }  // namespace
 
 std::optional<WorkloadSpec> WorkloadSpec::parse(std::string_view text) {
+  using spec_text::parse_int;
   WorkloadSpec spec;
-  std::string_view kind = text;
-  std::string_view params;
-  const std::size_t colon = text.find(':');
-  if (colon != std::string_view::npos) {
-    kind = text.substr(0, colon);
-    params = text.substr(colon + 1);
-  }
+  std::string_view kind, params;
+  spec_text::cut(text, ':', kind, params);
 
   if (kind == "alltoall") {
     spec.kind = Kind::kAllToAll;
@@ -72,15 +59,9 @@ std::optional<WorkloadSpec> WorkloadSpec::parse(std::string_view text) {
     return std::nullopt;
   }
 
-  while (!params.empty()) {
-    const std::size_t comma = params.find(',');
-    std::string_view token = params.substr(0, comma);
-    params = comma == std::string_view::npos ? std::string_view{}
-                                             : params.substr(comma + 1);
-    const std::size_t eq = token.find('=');
-    if (eq == std::string_view::npos) return std::nullopt;
-    const std::string_view key = token.substr(0, eq);
-    const std::string_view value = token.substr(eq + 1);
+  for (std::string_view token : spec_text::split(params, ',')) {
+    std::string_view key, value;
+    if (!spec_text::cut(token, '=', key, value)) return std::nullopt;
     int number = 0;
     if (key == "algo") {
       if (kind != "allreduce") return std::nullopt;
@@ -92,19 +73,19 @@ std::optional<WorkloadSpec> WorkloadSpec::parse(std::string_view text) {
         return std::nullopt;
       }
     } else if (key == "bytes") {
-      if (!parse_int_view(value, number) || number < 1) return std::nullopt;
+      if (!parse_int(value, number) || number < 1) return std::nullopt;
       spec.bytes = static_cast<std::size_t>(number);
     } else if (key == "rounds") {
-      if (!parse_int_view(value, number) || number < 1) return std::nullopt;
+      if (!parse_int(value, number) || number < 1) return std::nullopt;
       spec.rounds = number;
     } else if (key == "target") {
-      if (spec.kind != Kind::kIncast || !parse_int_view(value, number) ||
+      if (spec.kind != Kind::kIncast || !parse_int(value, number) ||
           number < 0) {
         return std::nullopt;
       }
       spec.incast_target = number;
     } else if (key == "interval_us") {
-      if (!parse_int_view(value, number) || number < 1) return std::nullopt;
+      if (!parse_int(value, number) || number < 1) return std::nullopt;
       spec.step_interval = number * time_literals::kMicrosecond;
     } else {
       return std::nullopt;

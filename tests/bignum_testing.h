@@ -10,6 +10,7 @@
 
 #include "common/hex.h"
 #include "crypto/bignum.h"
+#include "support/from_hex.h"
 
 namespace ibsec::crypto {
 

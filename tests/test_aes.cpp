@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "crypto/aes128.h"
 #include "crypto/cpu.h"
+#include "support/from_hex.h"
 
 namespace ibsec::crypto {
 namespace {

@@ -92,6 +92,10 @@ TEST(AttackSpecGrammar, MalformedSpecsRejected) {
       "attack=scan:interval=infus",     // infinity
       "attack=scan:interval=1e14us",    // ps conversion would overflow
       "attack=scan:node",               // subkey without '='
+      "attack=scan:node=99999999999",   // out of int range, not wrapped
+      "attack=scan:node= 3",            // whitespace
+      "attack=scan:count=+5",           // explicit sign
+      "seed= 7",                        // whitespace
   };
   for (const char* bad : kBad) {
     EXPECT_FALSE(AttackCampaignSpec::parse(bad).has_value()) << bad;
@@ -671,30 +675,38 @@ struct RcAdversarialLoad : public ::testing::Test {
     auto& sim = fabric->simulator();
     Rng rng(seed);
     for (int i = 0; i < count; ++i) {
-      ib::Packet pkt;
-      pkt.lrh.vl = fabric::kBestEffortVl;
-      pkt.lrh.sl = pkt.lrh.vl;
-      pkt.lrh.slid = fabric->lid_of_node(1);
-      pkt.lrh.dlid = fabric->lid_of_node(0);
-      pkt.bth.opcode = ib::OpCode::kRcAck;
-      pkt.bth.pkey = 0xFFFF;
-      pkt.bth.dest_qp = src_qpn;
-      pkt.bth.psn = static_cast<std::uint32_t>(rng.uniform(1u << 24));
-      pkt.meta.src_qp = dst_qpn;
-      pkt.meta.src_node = 1;
-      pkt.meta.dst_node = 0;
-      pkt.meta.is_attack = true;  // spoofed completions count as such
+      const auto psn = static_cast<std::uint32_t>(rng.uniform(1u << 24));
       const std::uint8_t syndrome = rng.uniform(2)
                                         ? transport::kAethAck
                                         : transport::kAethNakPsnSequence;
-      pkt.aeth =
-          ib::Aeth{syndrome, static_cast<std::uint32_t>(rng.uniform(1u << 24))};
-      pkt.finalize();
-      sim.at(static_cast<SimTime>(i) * spacing,
-             [this, pkt = std::move(pkt)]() mutable {
-               cas[1]->inject_raw(std::move(pkt));
-             });
+      const auto msn = static_cast<std::uint32_t>(rng.uniform(1u << 24));
+      // The event captures the draws, not the packet: a Packet outgrows
+      // the event's inline callback storage.
+      sim.at(static_cast<SimTime>(i) * spacing, [this, psn, syndrome, msn] {
+        cas[1]->inject_raw(forged_control(psn, syndrome, msn));
+      });
     }
+  }
+
+  /// A forged RC ACK/NAK from node 1 to the sender's QP.
+  ib::Packet forged_control(std::uint32_t psn, std::uint8_t syndrome,
+                            std::uint32_t msn) const {
+    ib::Packet pkt;
+    pkt.lrh.vl = fabric::kBestEffortVl;
+    pkt.lrh.sl = pkt.lrh.vl;
+    pkt.lrh.slid = fabric->lid_of_node(1);
+    pkt.lrh.dlid = fabric->lid_of_node(0);
+    pkt.bth.opcode = ib::OpCode::kRcAck;
+    pkt.bth.pkey = 0xFFFF;
+    pkt.bth.dest_qp = src_qpn;
+    pkt.bth.psn = psn;
+    pkt.meta.src_qp = dst_qpn;
+    pkt.meta.src_node = 1;
+    pkt.meta.dst_node = 0;
+    pkt.meta.is_attack = true;  // spoofed completions count as such
+    pkt.aeth = ib::Aeth{syndrome, msn};
+    pkt.finalize();
+    return pkt;
   }
 
   transport::PkiDirectory pki;

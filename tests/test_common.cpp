@@ -13,6 +13,7 @@
 #include "common/stats.h"
 #include "common/thread_pool.h"
 #include "common/time.h"
+#include "support/from_hex.h"
 
 namespace ibsec {
 namespace {

@@ -1,9 +1,12 @@
 // Failure injection: random wire corruption is caught by the VCRC at every
 // hop (including the final switch->HCA link), no corrupted payload ever
-// reaches an application, and the fabric's loss accounting balances.
+// reaches an application, and the fabric's loss accounting balances. The
+// `--faults` grammar that configures it reads exact values and rejects
+// anything it cannot read exactly.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "fabric/fault.h"
 #include "workload/scenario.h"
 #include "switch_totals.h"
 
@@ -153,6 +156,62 @@ TEST(FaultInjection, DeterministicGivenSeed) {
     return scenario.run().delivered;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// --- the --faults grammar ------------------------------------------------
+
+FaultCampaign fault_spec(const char* text) {
+  const auto parsed = FaultCampaign::parse(text);
+  EXPECT_TRUE(parsed.has_value()) << text;
+  return parsed.value_or(FaultCampaign{});
+}
+
+TEST(FaultCampaignGrammar, AcceptsEachFormInUseWithExactValues) {
+  const FaultCampaign rates = fault_spec("seed=9;drop=0.03;corrupt=0.01");
+  EXPECT_EQ(rates.seed, 9u);
+  EXPECT_EQ(rates.default_profile.drop_rate, 0.03);
+  EXPECT_EQ(rates.default_profile.corruption_rate, 0.01);
+  EXPECT_TRUE(rates.link_overrides.empty());
+  EXPECT_TRUE(rates.dead_switches.empty());
+
+  const FaultCampaign link = fault_spec("link=sw1.out1:corrupt=1");
+  ASSERT_EQ(link.link_overrides.count("sw1.out1"), 1u);
+  EXPECT_EQ(link.link_overrides.at("sw1.out1").corruption_rate, 1.0);
+  EXPECT_EQ(link.link_overrides.at("sw1.out1").drop_rate, 0.0);
+
+  const FaultCampaign dead = fault_spec("dead-switch=5");
+  EXPECT_EQ(dead.dead_switches, std::vector<int>{5});
+
+  const FaultCampaign window = fault_spec("flap=sw0.out1:100us-400us");
+  ASSERT_EQ(window.link_overrides.at("sw0.out1").flaps.size(), 1u);
+  EXPECT_EQ(window.link_overrides.at("sw0.out1").flaps[0].down_at,
+            100 * kMicrosecond);
+  EXPECT_EQ(window.link_overrides.at("sw0.out1").flaps[0].up_at,
+            400 * kMicrosecond);
+
+  const FaultCampaign forever = fault_spec("flap=sw0.out1:100us-");
+  ASSERT_EQ(forever.link_overrides.at("sw0.out1").flaps.size(), 1u);
+  EXPECT_EQ(forever.link_overrides.at("sw0.out1").flaps[0].down_at,
+            100 * kMicrosecond);
+  EXPECT_EQ(forever.link_overrides.at("sw0.out1").flaps[0].up_at, -1);
+}
+
+TEST(FaultCampaignGrammar, RejectsWhatItCannotReadExactly) {
+  for (const char* bad : {
+           "seed=abc",                    // not a number
+           "seed=-1",                     // would wrap to 2^64 - 1
+           "dead-switch=x",               // would name switch 0
+           "dead-switch=-1",              // no such switch
+           "drop=nan",                    // rates lie in [0, 1]
+           "drop=inf",
+           "drop=2.5",
+           "corrupt=-0.5",
+           "link=hca0.out:drop=inf",
+           "flap=sw0.out1:1e30us-",       // ps conversion would overflow
+           "flap=sw0.out1:nanus-5us",
+       }) {
+    EXPECT_FALSE(FaultCampaign::parse(bad).has_value()) << bad;
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "transport/channel_adapter.h"
 #include "transport/mad.h"
 #include "workload/attack_campaign.h"
+#include "support/wire_parse.h"
 
 namespace ibsec {
 namespace {
@@ -21,13 +22,13 @@ TEST_P(PacketFuzz, RandomBuffersNeverCrash) {
     const std::size_t len = rng.uniform(300);
     std::vector<std::uint8_t> buf(len);
     for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u32());
-    const auto parsed = ib::Packet::parse(buf);
+    const auto parsed = ib::parse_packet(buf);
     if (parsed.has_value()) {
       // Accepted input re-serializes to a canonical form (reserved bits
       // zeroed); that canonical form must be a fixed point.
       const auto canonical = parsed->serialize();
       EXPECT_EQ(canonical.size(), buf.size());
-      const auto reparsed = ib::Packet::parse(canonical);
+      const auto reparsed = ib::parse_packet(canonical);
       ASSERT_TRUE(reparsed.has_value());
       EXPECT_EQ(reparsed->serialize(), canonical);
     }
@@ -44,7 +45,7 @@ TEST_P(PacketFuzz, TruncationsOfValidPacketNeverCrash) {
   pkt.finalize();
   const auto wire = pkt.serialize();
   for (std::size_t len = 0; len <= wire.size(); ++len) {
-    const auto parsed = ib::Packet::parse(std::span(wire).first(len));
+    const auto parsed = ib::parse_packet(std::span(wire).first(len));
     if (len == wire.size()) {
       EXPECT_TRUE(parsed.has_value());
     }
@@ -68,7 +69,7 @@ TEST_P(PacketFuzz, HeaderBitFlipsNeverCrash) {
     auto mutated = wire;
     const std::size_t byte = rng.uniform(mutated.size());
     mutated[byte] ^= static_cast<std::uint8_t>(1 << rng.uniform(8));
-    const auto parsed = ib::Packet::parse(mutated);
+    const auto parsed = ib::parse_packet(mutated);
     if (parsed.has_value()) {
       // A surviving flipped bit must be caught by VCRC — unless the flip
       // hit the VCRC field itself (trailing 2 bytes) or a reserved bit
@@ -224,12 +225,12 @@ TEST_F(RcControlFuzz, TruncatedAckWirePrefixesNeverCrash) {
   ack.finalize();
   const auto wire = ack.serialize();
   for (std::size_t len = 0; len <= wire.size(); ++len) {
-    const auto parsed = ib::Packet::parse(std::span(wire).first(len));
+    const auto parsed = ib::parse_packet(std::span(wire).first(len));
     if (parsed.has_value() && len < wire.size()) {
       EXPECT_FALSE(parsed->vcrc_valid());
     }
   }
-  const auto full = ib::Packet::parse(wire);
+  const auto full = ib::parse_packet(wire);
   ASSERT_TRUE(full.has_value());
   ASSERT_TRUE(full->aeth.has_value());
   EXPECT_EQ(full->aeth->syndrome, transport::kAethAck);
@@ -358,10 +359,10 @@ TEST(PacketFuzzMisc, ParseSerializeIdempotence) {
     std::vector<std::uint8_t> buf(26 + rng.uniform(64));
     for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u32());
     buf[8] = 0x64;  // steer towards a known opcode (UD SEND)
-    const auto p1 = ib::Packet::parse(buf);
+    const auto p1 = ib::parse_packet(buf);
     if (!p1) continue;
     ++accepted;
-    const auto p2 = ib::Packet::parse(p1->serialize());
+    const auto p2 = ib::parse_packet(p1->serialize());
     ASSERT_TRUE(p2.has_value());
     EXPECT_EQ(p2->serialize(), p1->serialize());
   }

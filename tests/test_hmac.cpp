@@ -5,6 +5,7 @@
 #include "common/hex.h"
 #include "common/rng.h"
 #include "crypto/hmac.h"
+#include "support/from_hex.h"
 
 namespace ibsec::crypto {
 namespace {

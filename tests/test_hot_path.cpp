@@ -1,8 +1,8 @@
 // The zero-allocation hot-path contract:
 //
 //   1. InlineFunction — the event queue's callback type — stores captures
-//      inline, relocates them on move, and only heap-allocates past the
-//      declared capacity (which the hot call sites static_assert against).
+//      inline and relocates them on move; a capture past the declared
+//      capacity fails to compile.
 //   2. The Simulator's PacketPool recycles the slots that park packets, in
 //      chunks of 64.
 //   3. The streaming serialization / CRC / MAC paths produce byte- and
@@ -39,6 +39,7 @@
 #include "sim/inline_function.h"
 #include "sim/packet_pool.h"
 #include "sim/simulator.h"
+#include "support/wire_parse.h"
 
 namespace ibsec {
 namespace {
@@ -126,27 +127,19 @@ TEST(InlineFunction, SmallCapturesAreInlineAndAllocationFree) {
       << "constructing/moving/invoking an inline callable must not allocate";
 }
 
-TEST(InlineFunction, OversizedCapturesFallBackToTheHeapAndStillWork) {
+TEST(InlineFunction, OversizedCapturesDoNotFitInline) {
+  // emplace() static_asserts fits_inline, so a capture like this one fails
+  // to compile instead of reaching the heap.
   struct Big {
     std::uint8_t bytes[96];
   };
   static_assert(!VoidFn::fits_inline<decltype([b = Big{}] { (void)b; })>());
-  Big big{};
-  big.bytes[0] = 7;
-  big.bytes[95] = 9;
-  int sum = 0;
-  sim::InlineFunction<void(), 64> fn = [big, &sum] {
-    sum = big.bytes[0] + big.bytes[95];
-  };
-  sim::InlineFunction<void(), 64> moved = std::move(fn);
-  moved();
-  EXPECT_EQ(sum, 16);
 }
 
 TEST(InlineFunction, EventQueueCallbackHoldsTheFabricDeliveryCapture) {
   // The largest hot capture in src/: the link delivery / switch crossing
-  // lambdas (two pointers + ints). Keep this in sync with the
-  // static_asserts at the call sites — it documents the contract's slack.
+  // lambdas (two pointers + ints). It documents the contract's slack;
+  // emplace() itself asserts the contract at every call site.
   struct HotCapture {
     void* a;
     void* b;
@@ -432,72 +425,6 @@ TEST(StreamingEquivalence, HmacTag32MatchesCopyAndAppendReference) {
                                    static_cast<std::uint32_t>(digest[2]) << 8 |
                                    digest[3];
     EXPECT_EQ(mac->tag32(msg, nonce), expected);
-  }
-}
-
-template <class Stream>
-void feed_in_random_chunks(Stream& stream, std::span<const std::uint8_t> data,
-                           Rng& rng) {
-  std::size_t offset = 0;
-  while (offset < data.size()) {
-    const std::size_t take =
-        std::min<std::size_t>(1 + rng.uniform(1500), data.size() - offset);
-    stream.update(data.subspan(offset, take));
-    offset += take;
-  }
-}
-
-TEST(StreamingEquivalence, UmacStreamMatchesOneShotTag) {
-  Rng rng(0x07AC);
-  const auto key = random_key(rng);
-  const crypto::Umac32 umac(key);
-  auto stream = umac.stream();
-  for (int trial = 0; trial < 60; ++trial) {
-    // Sizes straddling the 1024-byte L1 block boundary exercise both the
-    // single-block identity-L2 path and the polynomial path.
-    const auto msg = random_message(rng, 5000);
-    const std::uint64_t nonce = rng.next_u64();
-    stream.reset();
-    feed_in_random_chunks(stream, msg, rng);
-    EXPECT_EQ(stream.final(nonce), umac.tag(msg, nonce))
-        << "size " << msg.size();
-  }
-}
-
-TEST(StreamingEquivalence, UmacStreamExactBlockBoundaries) {
-  Rng rng(0x07AD);
-  const auto key = random_key(rng);
-  const crypto::Umac32 umac(key);
-  auto stream = umac.stream();
-  for (const std::size_t size : {0u, 1u, 1023u, 1024u, 1025u, 2048u, 3072u}) {
-    std::vector<std::uint8_t> msg(size);
-    for (auto& b : msg) b = static_cast<std::uint8_t>(rng.uniform(256));
-    stream.reset();
-    stream.update(msg);
-    EXPECT_EQ(stream.final(5), umac.tag(msg, 5)) << "size " << size;
-  }
-}
-
-TEST(StreamingEquivalence, PmacStreamMatchesOneShotTag) {
-  Rng rng(0x9A4C);
-  const auto key = random_key(rng);
-  const crypto::Pmac pmac(key);
-  auto stream = pmac.stream();
-  for (int trial = 0; trial < 60; ++trial) {
-    const auto msg = random_message(rng, 600);
-    const std::uint64_t nonce = rng.next_u64();
-    stream.reset();
-    feed_in_random_chunks(stream, msg, rng);
-    EXPECT_EQ(stream.final(), pmac.tag(msg));
-    EXPECT_EQ(stream.final32(nonce), pmac.tag32(msg, nonce));
-  }
-  // Exact multiples of the 16-byte block hit the final-full-block fold.
-  for (const std::size_t size : {0u, 15u, 16u, 17u, 32u, 48u}) {
-    std::vector<std::uint8_t> msg(size);
-    for (auto& b : msg) b = static_cast<std::uint8_t>(rng.uniform(256));
-    stream.reset();
-    stream.update(msg);
-    EXPECT_EQ(stream.final(), pmac.tag(msg)) << "size " << size;
   }
 }
 

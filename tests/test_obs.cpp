@@ -3,11 +3,22 @@
 // reads of lazily created counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "obs/registry.h"
 #include "workload/scenario.h"
 
 namespace ibsec::obs {
 namespace {
+
+/// Number of snapshot entries whose name matches `pattern`.
+std::size_t count_matching(const Snapshot& snap, std::string_view pattern) {
+  return static_cast<std::size_t>(
+      std::count_if(snap.values.begin(), snap.values.end(),
+                    [&](const auto& entry) {
+                      return glob_match(pattern, entry.first);
+                    }));
+}
 
 TEST(Counter, IncrementsByAmount) {
   Counter c;
@@ -130,7 +141,7 @@ TEST(Snapshot, WildcardQueries) {
   const Snapshot snap = reg.snapshot();
   EXPECT_EQ(snap.sum_matching("switch.*.drop.pkey_mismatch"), 7);
   EXPECT_EQ(snap.sum_matching("switch.*.drop.*"), 16);
-  EXPECT_EQ(snap.count_matching("switch.1.*"), 3u);
+  EXPECT_EQ(count_matching(snap, "switch.1.*"), 3u);
   EXPECT_EQ(snap.sum_matching("hca.*"), 0);
 }
 
@@ -154,9 +165,9 @@ TEST(ColdScenario, RegistersMetricsButCountsNothing) {
   workload::Scenario scenario(cfg);
   const Snapshot snap = scenario.fabric().simulator().obs().snapshot();
 
-  EXPECT_GT(snap.count_matching("switch.*"), 0u);
-  EXPECT_GT(snap.count_matching("hca.*"), 0u);
-  EXPECT_GT(snap.count_matching("ca.*"), 0u);
+  EXPECT_GT(count_matching(snap, "switch.*"), 0u);
+  EXPECT_GT(count_matching(snap, "hca.*"), 0u);
+  EXPECT_GT(count_matching(snap, "ca.*"), 0u);
   EXPECT_EQ(snap.sum_matching("hca.*.injected"), 0);
   EXPECT_EQ(snap.sum_matching("switch.*.drop.*"), 0);
   EXPECT_EQ(snap.sum_matching("ca.*.retired.*"), 0);
@@ -187,8 +198,8 @@ TEST(LazyCounters, ReadAsZeroWithoutCreatingAnEntry) {
   const Snapshot snap = reg.snapshot();
   EXPECT_FALSE(snap.contains("sm.traps_rejected"));
   EXPECT_FALSE(snap.contains("sm.sif_poisoned_installs"));
-  EXPECT_EQ(snap.count_matching("ca.*.rc.spoofed_control_accepted"), 0u);
-  EXPECT_EQ(snap.count_matching("ca.*.qp.*.dropped_bad_qkey"), 0u);
+  EXPECT_EQ(count_matching(snap, "ca.*.rc.spoofed_control_accepted"), 0u);
+  EXPECT_EQ(count_matching(snap, "ca.*.qp.*.dropped_bad_qkey"), 0u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "common/rng.h"
 #include "ib/packet.h"
+#include "support/wire_parse.h"
 
 namespace ibsec::ib {
 namespace {
@@ -27,7 +28,7 @@ Packet make_ud_packet(std::size_t payload_size = 256) {
 TEST(Packet, SerializeParseRoundTrip) {
   const Packet pkt = make_ud_packet();
   const auto wire = pkt.serialize();
-  const auto parsed = Packet::parse(wire);
+  const auto parsed = parse_packet(wire);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->lrh, pkt.lrh);
   EXPECT_EQ(parsed->bth, pkt.bth);
@@ -137,7 +138,7 @@ TEST(Packet, RdmaWriteCarriesReth) {
   pkt.reth = Reth{0x1000, 0xCAFE, 128};
   pkt.payload.assign(128, 1);
   pkt.finalize();
-  const auto parsed = Packet::parse(pkt.serialize());
+  const auto parsed = parse_packet(pkt.serialize());
   ASSERT_TRUE(parsed.has_value());
   ASSERT_TRUE(parsed->reth.has_value());
   EXPECT_EQ(parsed->reth->va, 0x1000u);
@@ -150,7 +151,7 @@ TEST(Packet, AckCarriesAeth) {
   pkt.bth.opcode = OpCode::kRcAck;
   pkt.aeth = Aeth{0, 55};
   pkt.finalize();
-  const auto parsed = Packet::parse(pkt.serialize());
+  const auto parsed = parse_packet(pkt.serialize());
   ASSERT_TRUE(parsed.has_value());
   ASSERT_TRUE(parsed->aeth.has_value());
   EXPECT_EQ(parsed->aeth->msn, 55u);
@@ -162,7 +163,7 @@ TEST(Packet, GrhRoundTrip) {
   pkt.grh = Grh{};
   pkt.grh->dgid[15] = 0x42;
   pkt.finalize();
-  const auto parsed = Packet::parse(pkt.serialize());
+  const auto parsed = parse_packet(pkt.serialize());
   ASSERT_TRUE(parsed.has_value());
   ASSERT_TRUE(parsed->grh.has_value());
   EXPECT_EQ(parsed->grh->dgid[15], 0x42);
@@ -173,19 +174,19 @@ TEST(Packet, GrhRoundTrip) {
 TEST(PacketParse, RejectsTruncatedBuffers) {
   const auto wire = make_ud_packet().serialize();
   for (std::size_t len : {0u, 1u, 7u, 19u, 25u}) {
-    EXPECT_FALSE(Packet::parse(std::span(wire).first(len)).has_value());
+    EXPECT_FALSE(parse_packet(std::span(wire).first(len)).has_value());
   }
 }
 
 TEST(PacketParse, RejectsUnknownOpcode) {
   auto wire = make_ud_packet().serialize();
   wire[8] = 0xFE;  // BTH opcode byte (after 8-byte LRH)
-  EXPECT_FALSE(Packet::parse(wire).has_value());
+  EXPECT_FALSE(parse_packet(wire).has_value());
 }
 
 TEST(PacketParse, EmptyPayloadOk) {
   const Packet pkt = make_ud_packet(0);
-  const auto parsed = Packet::parse(pkt.serialize());
+  const auto parsed = parse_packet(pkt.serialize());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->payload.empty());
   EXPECT_TRUE(parsed->icrc_valid());
@@ -196,7 +197,7 @@ TEST(PacketParse, CorruptionDetectedByCrcsNotParser) {
   // VCRC, endpoints ICRC).
   auto wire = make_ud_packet().serialize();
   wire[40] ^= 0x80;  // payload corruption
-  const auto parsed = Packet::parse(wire);
+  const auto parsed = parse_packet(wire);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_FALSE(parsed->icrc_valid());
   EXPECT_FALSE(parsed->vcrc_valid());
@@ -209,7 +210,7 @@ TEST_P(PayloadSizeSweep, RoundTripAndCrcsAtSize) {
   Packet pkt = make_ud_packet(GetParam());
   for (auto& b : pkt.payload) b = static_cast<std::uint8_t>(rng.next_u32());
   pkt.finalize();
-  const auto parsed = Packet::parse(pkt.serialize());
+  const auto parsed = parse_packet(pkt.serialize());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->icrc_valid());
   EXPECT_TRUE(parsed->vcrc_valid());

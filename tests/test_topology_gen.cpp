@@ -344,9 +344,31 @@ TEST(TopologySpec, ParseRejectsMalformedSpecs) {
        {"torus:4x4", "fattree:k=3", "fattree:k=0", "fattree:q=4",
         "dragonfly:a=2,p=2,h=1,g=99",  // g-1 > a*h: not enough global ports
         "dragonfly:a=2,p=2,h=1,g=1", "dragonfly:a=2,p=2,h=1,routing=ugal",
-        "mesh:0x4", "mesh:4x", "mesh:k=4", ""}) {
+        "mesh:0x4", "mesh:4x", "mesh:k=4", "",
+        // More hosts than the 0xBFFF unicast LIDs (node + 1 in 16 bits);
+        // int arithmetic would also overflow on each of these.
+        "fattree:k=2000", "mesh:100000x100000",
+        "dragonfly:a=100000,p=100000,h=1"}) {
     EXPECT_FALSE(TopologySpec::parse(text).has_value()) << text;
   }
+}
+
+TEST(TopologySpec, HostCountStaysWithinUnicastLids) {
+  const auto fattree = TopologySpec::parse("fattree:k=8");
+  ASSERT_TRUE(fattree.has_value());
+  EXPECT_EQ(fattree->node_count(0, 0), 128);
+  const auto dragonfly = TopologySpec::parse("dragonfly:a=4,p=2,h=2");
+  ASSERT_TRUE(dragonfly.has_value());
+  EXPECT_EQ(dragonfly->node_count(0, 0), 72);
+  // The bound is exact: 0xBFFF hosts parse, one more does not.
+  const auto widest = TopologySpec::parse("mesh:1x49151");
+  ASSERT_TRUE(widest.has_value());
+  EXPECT_EQ(widest->node_count(0, 0), 0xBFFF);
+  EXPECT_FALSE(TopologySpec::parse("mesh:1x49152").has_value());
+  const auto k58 = TopologySpec::parse("fattree:k=58");
+  ASSERT_TRUE(k58.has_value());
+  EXPECT_EQ(k58->node_count(0, 0), 48778);
+  EXPECT_FALSE(TopologySpec::parse("fattree:k=60").has_value());
 }
 
 TEST(TopologySpec, SeedParameterFeedsEcmp) {
