@@ -155,7 +155,8 @@ int main(int argc, char** argv) {
         return 2;
       }
       cfg.workload = *w;
-    } else if (arg == "--duration-ms" && parse_double(next(), value)) {
+    } else if (arg == "--duration-ms" && parse_double(next(), value) &&
+               value >= 0 && value * 1e3 <= spec_text::kMaxTimeUs) {
       cfg.duration = static_cast<SimTime>(value * 1e9);
     } else if (arg == "--load" && parse_double(next(), value)) {
       cfg.best_effort_load = value;
@@ -243,7 +244,8 @@ int main(int argc, char** argv) {
       }
     } else if (optional_path("--audit", "audit.jsonl", audit_path)) {
       cfg.audit.enabled = true;
-    } else if (arg == "--timeseries-dt" && parse_double(next(), value)) {
+    } else if (arg == "--timeseries-dt" && parse_double(next(), value) &&
+               value >= 0 && value * 1e-3 <= spec_text::kMaxTimeUs) {
       cfg.timeseries_dt = static_cast<SimTime>(value * 1000.0);  // ns -> ps
     } else if (arg == "--metrics") {
       metrics_path = next();

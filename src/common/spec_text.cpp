@@ -48,9 +48,7 @@ bool parse_probability(std::string_view text, double& out) {
 bool parse_time_us(std::string_view text, SimTime& out) {
   if (text.ends_with("us")) text.remove_suffix(2);
   double us = 0;
-  // The upper bound keeps the ps conversion inside SimTime (int64):
-  // casting an overflowing double is undefined.
-  if (!parse_double(text, us) || us < 0 || us > 9.0e12) return false;
+  if (!parse_double(text, us) || us < 0 || us > kMaxTimeUs) return false;
   out = static_cast<SimTime>(us * 1e6);  // us -> ps
   return true;
 }

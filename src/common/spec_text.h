@@ -44,8 +44,11 @@ bool parse_double(std::string_view text, double& out);
 /// parse_double, within [0, 1].
 bool parse_probability(std::string_view text, double& out);
 
+/// The longest time, in us, a spec or flag may name: its ps fit SimTime.
+inline constexpr double kMaxTimeUs = 9.0e12;
+
 /// "123us", or a bare number read as microseconds, into picoseconds.
-/// Bounded to [0, 9e12] us so the conversion stays inside SimTime.
+/// Bounded to [0, kMaxTimeUs].
 bool parse_time_us(std::string_view text, SimTime& out);
 
 }  // namespace ibsec::spec_text

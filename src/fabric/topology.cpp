@@ -75,15 +75,18 @@ void Fabric::connect_switches(int a, int port_a, int b, int port_b) {
 
 void Fabric::apply_fault_campaign() {
   const FaultCampaign& campaign = config_.fault_campaign;
+  // A campaign entry that names nothing is a typo, not a fault-free run.
   for (const auto& [name, profile] : campaign.link_overrides) {
-    if (OutputPort* port = find_output_port(name)) {
-      port->set_fault_profile(profile);
-    }
+    OutputPort* port = find_output_port(name);
+    IBSEC_CHECK(port != nullptr)
+        << "fault campaign: link " << name << " names no port";
+    port->set_fault_profile(profile);
   }
   for (int id : campaign.dead_switches) {
-    if (id >= 0 && id < static_cast<int>(switches_.size())) {
-      switches_[static_cast<std::size_t>(id)]->set_dead(true);
-    }
+    IBSEC_CHECK(id >= 0 && id < static_cast<int>(switches_.size()))
+        << "fault campaign: dead-switch=" << id << " names no switch (the "
+        << "fabric has " << switches_.size() << ")";
+    switches_[static_cast<std::size_t>(id)]->set_dead(true);
   }
 }
 

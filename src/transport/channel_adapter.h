@@ -10,7 +10,10 @@
 //      field is interpreted per BTH.resv8a — 0 means plain ICRC, nonzero
 //      selects a MAC whose key is found by the key-management scheme.
 //   3. Q_Key check for UD packets (plaintext Q_Key — the vulnerability).
-//   4. RDMA requests validate the R_Key against the memory-region table and
+//   4. The destination QP is looked up once: its RcRequester takes RC
+//      ACK/NAKs and READ responses, its RcResponder gates RC requests by PSN
+//      (transport/rc_reliability.h; the CA is their RcWire).
+//   5. RDMA requests validate the R_Key against the memory-region table and
 //      execute against simulated memory with no QP intervention.
 #pragma once
 
@@ -55,7 +58,7 @@ class PacketAuthenticator {
   virtual AuthVerdict verify(const ib::Packet& pkt) = 0;
 };
 
-class ChannelAdapter {
+class ChannelAdapter : private RcWire {
  public:
   /// Creates the CA, generates its RSA identity (`rsa_bits`; every Scenario
   /// passes ScenarioConfig::rsa_bits = 256, for bring-up speed), registers
@@ -68,9 +71,6 @@ class ChannelAdapter {
   fabric::Fabric& fabric() { return fabric_; }
 
   // --- identity / confidentiality --------------------------------------------
-  const crypto::RsaPublicKey& public_key() const {
-    return keypair_.public_key;
-  }
   /// Decrypts an RSA blob addressed to this CA (key distribution).
   std::optional<std::vector<std::uint8_t>> unwrap(
       std::span<const std::uint8_t> ciphertext) const {
@@ -84,7 +84,6 @@ class ChannelAdapter {
   // --- tables ------------------------------------------------------------------
   ib::PartitionTable& partition_table() { return partition_table_; }
   ib::NodeKeys& node_keys() { return node_keys_; }
-  ib::MemoryRegionTable& memory_table() { return memory_table_; }
 
   /// Registers an RDMA-accessible region backed by `initial` bytes.
   bool register_memory(const ib::MemoryRegion& region,
@@ -137,11 +136,8 @@ class ChannelAdapter {
   bool post_rdma_read(ib::Qpn local_qp, std::uint64_t remote_va,
                       ib::RKeyValue rkey, std::uint32_t length,
                       ib::PacketMeta::TrafficClass tclass);
-  using ReadCompletionHandler = std::function<void(
-      ib::Qpn local_qp, std::uint64_t va, std::vector<std::uint8_t> data,
-      bool ok)>;
-  void set_read_completion_handler(ReadCompletionHandler handler) {
-    read_handler_ = std::move(handler);
+  void set_read_completion_handler(decltype(RcContext::on_read) handler) {
+    rc_.on_read = std::move(handler);
   }
 
   /// Raw injection, bypassing every CA-side check — the compromised-node
@@ -152,20 +148,18 @@ class ChannelAdapter {
   /// Enables/configures the RC reliability protocol (see rc_reliability.h).
   /// Off by default: RC QPs then keep the seed fabric's fire-and-forget
   /// semantics. Set before posting traffic.
-  void set_rc_config(const RcConfig& config) { rc_config_ = config; }
-  const RcConfig& rc_config() const { return rc_config_; }
+  void set_rc_config(const RcConfig& config) { rc_.config = config; }
   /// Retry exhaustion: the QP is now in error (posts fail) and
   /// `oldest_unacked` is the PSN of the first request that was given up on.
-  using RcErrorHandler =
-      std::function<void(ib::Qpn qpn, ib::Psn oldest_unacked)>;
-  void set_rc_error_handler(RcErrorHandler handler) {
-    rc_error_handler_ = std::move(handler);
+  void set_rc_error_handler(decltype(RcContext::on_error) handler) {
+    rc_.on_error = std::move(handler);
   }
 
   // --- management -----------------------------------------------------------------
   void send_mad(int dst_node, const Mad& mad);
-  /// Runs the handler chain for a MAD without a fabric round-trip (used for
-  /// node-local management, e.g. the SM configuring its own CA).
+  /// The one MAD handler chain: every MAD from the fabric runs it, and
+  /// node-local management (e.g. the SM configuring its own CA) calls it
+  /// directly, without a fabric round-trip.
   void deliver_local_mad(const Mad& mad);
   /// Handlers run in registration order until one returns true.
   using MadHandler = std::function<bool(const Mad&)>;
@@ -198,7 +192,7 @@ class ChannelAdapter {
   /// them, so per-node conservation (hca.received == Σ retired.*) holds by
   /// construction. "delivered" covers SENDs reaching a QP, applied RDMA
   /// WRITEs, and served RDMA READ requests.
-  struct RetireObs {
+  struct RetireObs : RcRetireObs {
     obs::Counter* vcrc = nullptr;
     obs::Counter* mad = nullptr;
     obs::Counter* pkey_violation = nullptr;
@@ -208,52 +202,28 @@ class ChannelAdapter {
     obs::Counter* rdma_rejected = nullptr;
     obs::Counter* rdma_nak = nullptr;
     obs::Counter* rdma_read_response = nullptr;
-    obs::Counter* ack = nullptr;
-    obs::Counter* nak = nullptr;
     obs::Counter* no_dest_qp = nullptr;
     obs::Counter* qkey_violation = nullptr;
     obs::Counter* delivered = nullptr;
-    obs::Counter* rc_duplicate = nullptr;
-    obs::Counter* rc_out_of_order = nullptr;
-    obs::Counter* rc_bad_control = nullptr;
   };
   const RetireObs& retire_obs() const { return retire_; }
-  /// Counters under "ca.<node>.rc.": the reliability protocol's own event
-  /// stream (retransmits, acks/naks sent, retry exhaustions).
-  struct RcObs {
-    obs::Counter* retransmits = nullptr;
-    obs::Counter* acks = nullptr;
-    obs::Counter* naks = nullptr;
-    obs::Counter* retry_exhausted = nullptr;
-    /// Attack-tagged RC control packets that passed validation AND cleared
-    /// send-window entries they never earned — the rc-spoof campaign's
-    /// success metric. Stays 0 with validate_control on unless a spoofed
-    /// PSN lands inside the live window (~window/2^24 per attempt). Created
-    /// on first use ("ca.<n>.rc.spoofed_control_accepted"), so attack-free
-    /// runs never grow a snapshot entry; read it via rc_spoofed_accepted().
-    obs::Counter* spoofed_control_accepted = nullptr;
-  };
-  const RcObs& rc_obs() const { return rc_obs_; }
+  /// The "ca.<node>.rc." counters (see RcObs in rc_reliability.h).
+  const RcObs& rc_obs() const { return rc_.obs; }
   std::uint64_t rc_spoofed_accepted() const {
-    return obs::value_or_zero(rc_obs_.spoofed_control_accepted);
+    return obs::value_or_zero(rc_.obs.spoofed_control_accepted);
   }
   /// UD packets dropped at `qpn` for a bad Q_Key
   /// ("ca.<n>.qp.<qpn>.dropped_bad_qkey", created on the first drop).
   std::uint64_t qkey_drops(ib::Qpn qpn) const;
 
   /// Counts the registry does not export.
-  struct Counters {
+  struct Counters : RcCounts {
     std::uint64_t traps_sent = 0;
     /// MADs from the fabric and node-local ones alike.
     std::uint64_t mads_received = 0;
     std::uint64_t rdma_writes_applied = 0;
     std::uint64_t rdma_reads_served = 0;
-    /// Protocol ACKs plus the ack_req replies sent with the protocol off.
-    std::uint64_t acks_sent = 0;
-    /// Includes the PSN gaps counted (not dropped) with the protocol off.
-    std::uint64_t rc_out_of_order = 0;
     std::uint64_t messages_delivered = 0;
-    std::uint64_t reassembly_errors = 0;
     std::uint64_t reconfigs_applied = 0;
     std::uint64_t reconfigs_rejected = 0;
   };
@@ -261,42 +231,26 @@ class ChannelAdapter {
 
  private:
   void on_packet(ib::Packet&& pkt);
-  void handle_mad_packet(const ib::Packet& pkt);
   void handle_data_packet(ib::Packet&& pkt);
   void apply_rdma_write(const ib::Packet& pkt);
   /// `duplicate` re-serves a retransmitted request: the response is rebuilt
   /// and resent but no delivery counters advance (exactly-once accounting).
-  void serve_rdma_read(const ib::Packet& pkt, bool duplicate = false);
-  void complete_rdma_read(const ib::Packet& pkt);
-  void maybe_send_ack(const ib::Packet& pkt);
-  IBSEC_HOT void track_rc_psn(const ib::Packet& pkt, QueuePair& qp);
-  // RC reliability: sender side.
-  IBSEC_HOT void rc_submit(QueuePair& qp, ib::Packet&& pkt);
-  IBSEC_HOT void rc_transmit(QueuePair& qp, ib::Packet&& pkt);
-  void rc_release_pending(QueuePair& qp);
-  void arm_rc_timer(QueuePair& qp);
-  void on_rc_timeout(ib::Qpn qpn, std::uint64_t generation);
-  void rc_retransmit(QueuePair& qp, ib::Psn from_psn);
-  void rc_fail(QueuePair& qp);
-  IBSEC_HOT void handle_rc_ack(const ib::Packet& pkt);
-  /// Returns how many window entries the cumulative (N)ACK retired — the
-  /// spoof-accounting in handle_rc_ack needs to know whether a forged
-  /// control packet actually cleared anything.
-  IBSEC_HOT std::size_t rc_ack_through(QueuePair& qp, ib::Psn psn,
-                                       bool inclusive);
-  void rc_on_progress(QueuePair& qp);
-  void rc_on_read_response(const ib::Packet& pkt);
-  // RC reliability: receiver side.
-  void schedule_rc_ack(QueuePair& qp, bool force);
-  void send_rc_ack(QueuePair& qp);
-  void send_rc_nak(QueuePair& qp);
+  void serve_rdma_read(QueuePair* qp, const ib::Packet& pkt,
+                       bool duplicate = false);
+  /// The one RC request builder: takes the next PSN and hands the packet
+  /// to the QP's requester.
+  void post_request(QueuePair& qp, ib::OpCode op,
+                    ib::PacketMeta::TrafficClass tclass,
+                    std::vector<std::uint8_t> payload,
+                    std::optional<ib::Reth> reth = std::nullopt,
+                    bool ack_req = false, SimTime created_at = -1);
+  ib::Packet to_peer(const QueuePair& qp, ib::OpCode op, ib::Psn psn,
+                     ib::PacketMeta::TrafficClass tclass,
+                     SimTime created_at) override;
+  /// Signs (if an authenticator applies) or finalizes, then sends.
+  void sign_and_send(ib::Packet&& pkt) override;
   /// Lazily-resolved "ca.<n>.qp.<qpn>.dropped_bad_qkey" handle.
   obs::Counter& qkey_drop_counter(const QueuePair& qp);
-  /// Cold lazy resolver for "ca.<n>.rc.spoofed_control_accepted": keeps the
-  /// name assembly out of the IBSEC_HOT ACK-processing path.
-  obs::Counter& rc_spoofed_counter();
-  /// Signs (if an authenticator applies) or finalizes, then sends.
-  void sign_and_send(ib::Packet&& pkt);
   bool handle_port_reconfigure(const Mad& mad);
   /// Builds the common skeleton (LRH/BTH, VL/SL from the traffic class).
   /// `created_at` < 0 stamps "now"; sources that model a pre-send pipeline
@@ -306,7 +260,9 @@ class ChannelAdapter {
                          ib::PKeyValue pkey, SimTime created_at = -1);
   /// Records a decision on `pkt` made at this CA (sim::Simulator::record).
   IBSEC_HOT void record(obs::Decision kind, obs::Counter& counter,
-                        const ib::Packet& pkt, std::int64_t a0 = 0);
+                        const ib::Packet& pkt, std::int64_t a0 = 0) {
+    rc_.record(kind, counter, pkt, a0);
+  }
 
   fabric::Fabric& fabric_;
   int node_;
@@ -331,26 +287,15 @@ class ChannelAdapter {
   int sm_node_ = -1;
   PacketAuthenticator* authenticator_ = nullptr;
   ReceiveHandler receive_handler_;
-  ReadCompletionHandler read_handler_;
   MessageHandler message_handler_;
   DeliveryProbe probe_;
-  RcConfig rc_config_;
-  RcErrorHandler rc_error_handler_;
-  // RC reassembly: per local QP, the partial message being received.
-  struct Reassembly {
-    bool active = false;
-    std::vector<std::uint8_t> data;
-  };
-  std::map<ib::Qpn, Reassembly> reassembly_;
-  // Outstanding RDMA READs keyed by (local QPN, request PSN).
-  std::map<std::pair<ib::Qpn, ib::Psn>, std::pair<std::uint64_t, std::uint32_t>>
-      outstanding_reads_;
   std::map<std::uint32_t, std::uint32_t> port_attributes_;
   Counters counters_;
   std::uint64_t next_message_id_ = 1;
 
   RetireObs retire_;
-  RcObs rc_obs_;
+  /// What this CA's RC state machines share; every QP's owners point here.
+  RcContext rc_;
   /// Lazily-created per-QP Q_Key-violation counters.
   std::map<ib::Qpn, obs::Counter*> qkey_drop_obs_;
 };

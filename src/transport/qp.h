@@ -21,6 +21,9 @@ enum class ServiceType : std::uint8_t {
 };
 
 struct QueuePair {
+  explicit QueuePair(RcContext& rc)
+      : requester(rc, *this), responder(rc, *this) {}
+
   ib::Qpn qpn = 0;
   ServiceType type = ServiceType::kReliableConnection;
   ib::PKeyValue pkey = ib::kDefaultPKey;
@@ -36,15 +39,9 @@ struct QueuePair {
   /// Next packet sequence number for sends (24-bit wraparound).
   ib::Psn next_psn = 0;
 
-  /// Expected receive PSN (RC in-order delivery tracking).
-  ib::Psn expected_psn = 0;
-
-  /// RC reliability protocol state (unused until RcConfig::enabled).
-  RcSenderState rc_tx;
-  RcReceiverState rc_rx;
-  /// Set when the retry budget is exhausted: the QP is broken, further
-  /// posts fail, and the application has been told via the error handler.
-  bool rc_error = false;
+  /// RC only: the two state machines (see rc_reliability.h).
+  RcRequester requester;
+  RcResponder responder;
 
   struct Counters {
     std::uint64_t sent = 0;

@@ -259,10 +259,12 @@ void Scenario::build_traffic(Rng& rng) {
         config_.auth_enabled ? config_.per_message_auth_overhead : 0;
 
     if (config_.enable_realtime) {
+      // Skip a slot while the HCA realtime queue is this deep (back-off).
+      constexpr std::size_t kRealtimeBackoffLimit = 32;
       sources_.push_back(std::make_unique<RealtimeSource>(
           ca(node), ud_qp_of_node_[static_cast<std::size_t>(node)], peers,
           rng.split(), qkm, overhead, config_.realtime_rate,
-          config_.realtime_backoff_limit));
+          kRealtimeBackoffLimit));
     }
     if (config_.enable_best_effort) {
       sources_.push_back(std::make_unique<BestEffortSource>(
@@ -354,7 +356,6 @@ ScenarioResult Scenario::run() {
     ts.patterns = config_.timeseries_patterns.empty()
                       ? default_timeseries_patterns()
                       : config_.timeseries_patterns;
-    ts.max_samples = config_.timeseries_max_samples;
     timeseries_ =
         std::make_unique<obs::TimeSeriesSampler>(sim.obs(), std::move(ts));
     timeseries_end_ = sim.now() + config_.warmup + config_.duration;

@@ -46,9 +46,6 @@ struct ScenarioConfig {
 
   bool enable_realtime = true;
   double realtime_rate = 0.10;  ///< fraction of link bandwidth per node
-  /// Realtime back-off: skip a send slot when the HCA realtime queue is at
-  /// least this deep ("does not send when the network cannot support it").
-  std::size_t realtime_backoff_limit = 32;
   bool enable_best_effort = true;
   double best_effort_load = 0.40;  ///< "input load" in Figures 5/6
 
@@ -110,7 +107,6 @@ struct ScenarioConfig {
   /// Snapshot-name globs to keep per bucket; empty selects the default
   /// DoS-experiment set (queue depths, link/switch counters, rc, auth).
   std::vector<std::string> timeseries_patterns;
-  std::size_t timeseries_max_samples = 1u << 16;
 };
 
 struct ScenarioResult {

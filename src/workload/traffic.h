@@ -135,7 +135,7 @@ class RcMessageSource {
   void stop() { stopped_ = true; }
 
   std::uint64_t posted() const { return posted_; }
-  /// Posts rejected by the CA (typically rc_error after retry exhaustion).
+  /// Posts rejected by the CA (typically an RC QP whose retries ran out).
   std::uint64_t post_failures() const { return post_failures_; }
 
  private:

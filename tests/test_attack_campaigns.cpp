@@ -725,8 +725,8 @@ TEST_F(RcAdversarialLoad, SpoofStormNeverAdvancesWindowOrCorruptsDelivery) {
 
   // Bit-exact, in-order, exactly-once delivery of every message.
   EXPECT_EQ(received, sent);
-  EXPECT_TRUE(cas[0]->find_qp(src_qpn)->rc_tx.window.empty());
-  EXPECT_FALSE(cas[0]->find_qp(src_qpn)->rc_error);
+  EXPECT_TRUE(cas[0]->find_qp(src_qpn)->requester.window().empty());
+  EXPECT_FALSE(cas[0]->find_qp(src_qpn)->requester.failed());
   // The storm was counted, not obeyed: no spoofed completion, no spurious
   // retry exhaustion from a flushed-then-silent window. (Spoofs arriving
   // after the transfer completes hit the benign stale-duplicate path, so
@@ -757,7 +757,7 @@ TEST_F(RcAdversarialLoad, SpoofStormPlusLinkFaultsStillBitExact) {
   EXPECT_GT(cas[0]->rc_obs().retransmits->value(), 0u);
   // ...and delivery is still bit-exact and exactly-once.
   EXPECT_EQ(received, sent);
-  EXPECT_TRUE(cas[0]->find_qp(src_qpn)->rc_tx.window.empty());
+  EXPECT_TRUE(cas[0]->find_qp(src_qpn)->requester.window().empty());
   EXPECT_EQ(cas[0]->rc_spoofed_accepted(), 0u);
   EXPECT_EQ(cas[0]->rc_obs().retry_exhausted->value(), 0u);
 }

@@ -214,5 +214,23 @@ TEST(FaultCampaignGrammar, RejectsWhatItCannotReadExactly) {
   }
 }
 
+// A campaign that parses but names nothing in the fabric it is applied to
+// is a typo: building the fabric fails and names the entry, instead of
+// running fault-free.
+TEST(FaultCampaignDeathTest, UnknownLinkOrSwitchStopsTheBuild) {
+  const auto build = [](const char* spec) {
+    FabricConfig cfg;
+    cfg.mesh_width = 2;
+    cfg.mesh_height = 1;
+    cfg.fault_campaign = *FaultCampaign::parse(spec);
+    Fabric fabric(cfg);
+  };
+  EXPECT_DEATH(build("dead-switch=999"), "dead-switch=999 names no switch");
+  EXPECT_DEATH(build("dead-switch=2"), "dead-switch=2 names no switch");
+  EXPECT_DEATH(build("link=nosuch.out:drop=0.5"), "link nosuch.out names");
+  EXPECT_DEATH(build("flap=sw9.out1:1us-2us"), "link sw9.out1 names");
+  build("dead-switch=1;link=sw0.out1:drop=0.5");  // both exist: no death
+}
+
 }  // namespace
 }  // namespace ibsec::fabric

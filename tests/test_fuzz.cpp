@@ -177,7 +177,7 @@ TEST_F(RcControlFuzz, ForgedAckWithFuturePsnCannotSpoofCompleteWindow) {
   fabric->simulator().run();
 
   EXPECT_EQ(delivered, 1);
-  EXPECT_TRUE(cas[0]->find_qp(src_qpn)->rc_tx.window.empty());
+  EXPECT_TRUE(cas[0]->find_qp(src_qpn)->requester.window().empty());
   EXPECT_GE(cas[0]->retire_obs().rc_bad_control->value(), 1u);
   EXPECT_EQ(cas[0]->rc_obs().retry_exhausted->value(), 0u);
 }
@@ -216,7 +216,7 @@ TEST_F(RcControlFuzz, AckVariantsNeverCrashAndAreCounted) {
   // All five were dropped and counted; nothing delivered, nothing broke.
   EXPECT_EQ(cas[0]->retire_obs().rc_bad_control->value(), 5u);
   EXPECT_EQ(cas[0]->retire_obs().delivered->value(), 0u);
-  EXPECT_FALSE(cas[0]->find_qp(src_qpn)->rc_error);
+  EXPECT_FALSE(cas[0]->find_qp(src_qpn)->requester.failed());
 }
 
 TEST_F(RcControlFuzz, TruncatedAckWirePrefixesNeverCrash) {

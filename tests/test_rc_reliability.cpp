@@ -119,7 +119,7 @@ TEST_P(RcLossSweep, ExactlyOnceInOrderUnderSeededLoss) {
   for (std::size_t i = 0; i < posted.size(); ++i) {
     EXPECT_EQ(received[i], posted[i]) << "message " << i;
   }
-  EXPECT_FALSE(cas[0]->find_qp(src_qpn)->rc_error);
+  EXPECT_FALSE(cas[0]->find_qp(src_qpn)->requester.failed());
   EXPECT_EQ(cas[1]->counters().reassembly_errors, 0u);
 
   const auto snap = fabric->simulator().obs().snapshot();
@@ -169,8 +169,8 @@ TEST_F(RcFixture, RetryExhaustionSurfacesErrorNotSilence) {
   EXPECT_EQ(failed_qpn, src_qpn);
   EXPECT_EQ(delivered, 0);
   const QueuePair* qp = cas[0]->find_qp(src_qpn);
-  EXPECT_TRUE(qp->rc_error);
-  EXPECT_TRUE(qp->rc_tx.window.empty());
+  EXPECT_TRUE(qp->requester.failed());
+  EXPECT_TRUE(qp->requester.window().empty());
   EXPECT_EQ(cas[0]->rc_obs().retry_exhausted->value(), 1u);
   const auto snap = fabric->simulator().obs().snapshot();
   EXPECT_EQ(snap.at("ca.0.rc.retry_exhausted"), 1);
@@ -227,8 +227,8 @@ TEST_F(RcFixture, RdmaWriteReliableUnderLoss) {
   const auto* mem = cas[1]->memory_of(0x42);
   ASSERT_NE(mem, nullptr);
   EXPECT_EQ(*mem, expect);
-  EXPECT_FALSE(cas[0]->find_qp(src_qpn)->rc_error);
-  EXPECT_TRUE(cas[0]->find_qp(src_qpn)->rc_tx.window.empty());
+  EXPECT_FALSE(cas[0]->find_qp(src_qpn)->requester.failed());
+  EXPECT_TRUE(cas[0]->find_qp(src_qpn)->requester.window().empty());
   EXPECT_GT(cas[0]->rc_obs().retransmits->value(), 0u);
 }
 
@@ -265,8 +265,8 @@ TEST_F(RcFixture, RdmaReadReliableUnderLoss) {
   // lost responses mean the retransmitted request is re-served, and the
   // duplicate response finds no outstanding entry.
   EXPECT_EQ(completions, 12);
-  EXPECT_FALSE(cas[0]->find_qp(src_qpn)->rc_error);
-  EXPECT_TRUE(cas[0]->find_qp(src_qpn)->rc_tx.window.empty());
+  EXPECT_FALSE(cas[0]->find_qp(src_qpn)->requester.failed());
+  EXPECT_TRUE(cas[0]->find_qp(src_qpn)->requester.window().empty());
 }
 
 // --- protocol mechanics ------------------------------------------------------
@@ -282,7 +282,7 @@ TEST_F(RcFixture, AcksAreCoalesced) {
   // (plus at most one trailing delayed ACK), far fewer than one per packet.
   EXPECT_GE(cas[1]->counters().acks_sent, 3u);
   EXPECT_LE(cas[1]->counters().acks_sent, 6u);
-  EXPECT_TRUE(cas[0]->find_qp(src_qpn)->rc_tx.window.empty());
+  EXPECT_TRUE(cas[0]->find_qp(src_qpn)->requester.window().empty());
   EXPECT_EQ(cas[0]->rc_obs().retransmits->value(), 0u);
 }
 
@@ -300,12 +300,12 @@ TEST_F(RcFixture, WindowBackpressureQueuesAndDrains) {
                                      ib::PacketMeta::TrafficClass::kBestEffort));
   }
   const QueuePair* qp = cas[0]->find_qp(src_qpn);
-  EXPECT_LE(qp->rc_tx.window.size(), 4u);
-  EXPECT_FALSE(qp->rc_tx.pending.empty());
+  EXPECT_LE(qp->requester.window().size(), 4u);
+  EXPECT_FALSE(qp->requester.pending().empty());
   fabric->simulator().run();
   EXPECT_EQ(delivered, 40);
-  EXPECT_TRUE(qp->rc_tx.window.empty());
-  EXPECT_TRUE(qp->rc_tx.pending.empty());
+  EXPECT_TRUE(qp->requester.window().empty());
+  EXPECT_TRUE(qp->requester.pending().empty());
 }
 
 TEST_F(RcFixture, OutOfOrderArrivalNaksOncePerGap) {
@@ -383,7 +383,7 @@ TEST_F(RcFixture, DisabledKeepsLegacySemantics) {
   }
   fabric->simulator().run();
   EXPECT_EQ(delivered, 5);
-  EXPECT_TRUE(cas[0]->find_qp(src_qpn)->rc_tx.window.empty());
+  EXPECT_TRUE(cas[0]->find_qp(src_qpn)->requester.window().empty());
   EXPECT_EQ(cas[1]->counters().acks_sent, 0u);
   EXPECT_EQ(cas[0]->rc_obs().retransmits->value(), 0u);
 }
