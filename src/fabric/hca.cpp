@@ -15,7 +15,7 @@ Hca::Hca(sim::Simulator& simulator, const FabricConfig& config, int node_id)
 }
 
 void Hca::set_upstream(OutputPort* upstream) {
-  in_ = InputPort(&sim_, config_.link, upstream);
+  in_ = InputPort(*upstream);
 }
 
 void Hca::send(ib::Packet&& pkt) {

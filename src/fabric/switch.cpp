@@ -60,7 +60,7 @@ void Switch::set_ingress_port(int port, bool is_ingress) {
 
 void Switch::set_upstream(int port, OutputPort* upstream) {
   inputs_.at(static_cast<std::size_t>(port)) =
-      InputPort(&sim_, config_.link, upstream);
+      InputPort(*upstream);
 }
 
 void Switch::set_route(ib::Lid dlid, int port) {

@@ -74,6 +74,10 @@ class VlArbiter {
   /// weight and advancing the WRR pointer when the entry is exhausted.
   IBSEC_HOT void on_sent(ib::VirtualLane vl, std::size_t bytes);
 
+  /// True iff each table's current entry holds its full weight, as a
+  /// failed pick leaves it; pick_mask(0) changes nothing then.
+  bool at_rest() const { return high_.full() && low_.full(); }
+
   /// Attaches grant counters (owned by the registry): each successful pick
   /// increments the counter of the table it was served from — the per-link
   /// view of how transmit slots split between priority classes.
@@ -90,6 +94,9 @@ class VlArbiter {
     std::uint32_t vls = 0;        // bit v set iff some entry names VL v
 
     bool empty() const { return entries.empty(); }
+    bool full() const {
+      return entries.empty() || remaining == entries[index].weight;
+    }
     void refill() {
       if (!entries.empty()) remaining = entries[index].weight;
     }

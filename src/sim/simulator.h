@@ -9,6 +9,7 @@
 #include <cstdint>
 
 #include "common/annotations.h"
+#include "common/check.h"
 #include "ib/packet.h"
 #include "obs/audit.h"
 #include "obs/decision.h"
@@ -91,18 +92,47 @@ class Simulator {
     queue_.schedule(now_ + delay, std::forward<F>(fn));
   }
 
+  /// Reserves the place of an event at `when` (>= now()) without scheduling
+  /// one: the returned seq orders like that of an event scheduled now.
+  /// reached(when, seq) turns true once the clock passes that place;
+  /// schedule_as(when, seq, fn) puts a real event there.
+  std::uint64_t reserve_seq(SimTime when) {
+    if (when > horizon_) horizon_ = when;
+    return queue_.reserve_seq();
+  }
+
+  /// True iff an event at (when, seq) would have run by now: it orders at
+  /// or before the running event, or, between events, before the point
+  /// the last run()/run_until() left the clock at.
+  bool reached(SimTime when, std::uint64_t seq) const {
+    return when < now_ || (when == now_ && seq < seq_bound_);
+  }
+
+  /// Schedules `fn` at the place reserve_seq(when) returned `seq` for. The
+  /// place must still lie ahead of the clock.
+  template <class F>
+  IBSEC_HOT void schedule_as(SimTime when, std::uint64_t seq, F&& fn) {
+    IBSEC_CHECK(!reached(when, seq))
+        << "event at (" << when << ", seq " << seq
+        << ") reserved for a point the clock has passed (now " << now_
+        << ")";
+    queue_.schedule_as(when, seq, std::forward<F>(fn));
+  }
+
   /// Runs events until the queue drains or the clock passes `end`.
   /// Events scheduled exactly at `end` are executed.
   void run_until(SimTime end) {
     while (!queue_.empty() && queue_.next_time() <= end) {
       step();
     }
-    if (now_ < end) now_ = end;
+    if (now_ <= end) settle(end);
   }
 
-  /// Runs until the queue is empty.
+  /// Runs until the queue is empty. The clock ends where it would had every
+  /// reserved place been an event: at the latest of them, if that is later.
   void run() {
     while (!queue_.empty()) step();
+    settle(now_ < horizon_ ? horizon_ : now_);
   }
 
   std::uint64_t events_processed() const { return events_processed_; }
@@ -110,14 +140,27 @@ class Simulator {
 
  private:
   IBSEC_HOT void step() {
-    queue_.pop_and_run([this](SimTime t) {
+    queue_.pop_and_run([this](SimTime t, std::uint64_t seq) {
       now_ = t;
+      seq_bound_ = seq + 1;
       ++events_processed_;
     });
   }
 
+  /// Moves the clock to `t` with every place reserved so far at or before
+  /// `t` counted as reached.
+  void settle(SimTime t) {
+    now_ = t;
+    seq_bound_ = queue_.next_seq();
+  }
+
   EventQueue queue_;
   SimTime now_ = 0;
+  /// reached() holds for seqs below this at time now_: the running event's
+  /// seq + 1, or every seq handed out before the last settle().
+  std::uint64_t seq_bound_ = 0;
+  /// The latest time reserve_seq() was given.
+  SimTime horizon_ = 0;
   std::uint64_t events_processed_ = 0;
   obs::Registry obs_;
   obs::TraceRecorder trace_;

@@ -526,7 +526,7 @@ TEST(ZeroAllocSteadyState, CongestedPortAllocatesNothing) {
   const fabric::LinkParams params;
   fabric::OutputPort port(sim, params, "congested");
   Sink sink;
-  sink.in = fabric::InputPort(&sim, params, &port);
+  sink.in = fabric::InputPort(port);
   sink.arrived.reserve(kDepth);
   port.connect(&sink, 0);
   std::vector<ib::Packet> batch(kDepth, make_ud_packet(256));

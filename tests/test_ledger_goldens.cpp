@@ -4,8 +4,15 @@
 // that keeps every other golden but moves one of these changed what the
 // benchmark simulates, so its timings would no longer compare with the
 // parent's.
+//
+// Beside each digest sit two work counters, pure functions of (config,
+// seed) like the digest: the events the run executes and the packets its
+// links carry. The link packets must not move; the events move only with a
+// change to how the simulator schedules work, and a change that puts back
+// an event per credit return fails here by name.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <ostream>
 #include <string>
 
@@ -37,6 +44,8 @@ std::string export_digest(const ScenarioResult& r) {
 struct Golden {
   const char* workload;
   const char* digest;
+  std::uint64_t events;        ///< events run by scenario.run()
+  std::uint64_t link_packets;  ///< Σ link.*.packets
 };
 
 // Names the parameter in ctest ids, instead of its pointer bytes.
@@ -50,23 +59,34 @@ TEST_P(LedgerGolden, QuickSeed2005ExportDigest) {
   ASSERT_TRUE(w.has_value()) << golden.workload;
   // As the ledger's child: construct, drain bring-up, then run.
   Scenario scenario(w->config);
-  scenario.fabric().simulator().run();
+  ibsec::sim::Simulator& sim = scenario.fabric().simulator();
+  sim.run();
+  const std::uint64_t events0 = sim.events_processed();
   const ScenarioResult r = scenario.run();
   EXPECT_EQ(export_digest(r), golden.digest)
       << golden.workload << " exports drifted";
+  EXPECT_EQ(sim.events_processed() - events0, golden.events)
+      << golden.workload << " events run";
+  EXPECT_EQ(r.obs.sum_matching("link.*.packets"),
+            static_cast<std::int64_t>(golden.link_packets))
+      << golden.workload << " link packets";
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Workloads, LedgerGolden,
     ::testing::Values(
         Golden{"mesh_dos",
-               "57f717e4d268a18a26a8b1c05d0e266bf67aeb914b30ce308c6a188bebadc3e1"},
+               "57f717e4d268a18a26a8b1c05d0e266bf67aeb914b30ce308c6a188bebadc3e1",
+               /*events=*/754'229, /*link_packets=*/244'063},
         Golden{"fattree_mpi",
-               "ffcda3a076725ef99b80879df96635a1a74b60f64ac0cd1d72eb8fe0b3652c81"},
+               "ffcda3a076725ef99b80879df96635a1a74b60f64ac0cd1d72eb8fe0b3652c81",
+               /*events=*/819'650, /*link_packets=*/278'828},
         Golden{"tenant2048",
-               "68a9585abde35fea75a4b3511d9cea91bbd5f93ef7d263ef593e15392983ac8e"},
+               "68a9585abde35fea75a4b3511d9cea91bbd5f93ef7d263ef593e15392983ac8e",
+               /*events=*/287'417, /*link_packets=*/108'164},
         Golden{"campaign_obs",
-               "d6ec7f6976accdd03383508ad30000549abeddc98008169e5079e65a83304784"}),
+               "d6ec7f6976accdd03383508ad30000549abeddc98008169e5079e65a83304784",
+               /*events=*/53'268, /*link_packets=*/16'243}),
     [](const ::testing::TestParamInfo<Golden>& info) {
       return std::string(info.param.workload);
     });
