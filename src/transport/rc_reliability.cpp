@@ -225,7 +225,11 @@ void RcRequester::on_progress() {
 }
 
 void RcRequester::on_read_response(const ib::Packet& pkt) {
-  if (const auto it = window_.find(pkt.bth.psn); it != window_.end()) {
+  // A response retires only the READ request it answers: a SEND or WRITE
+  // at the same PSN still waits for the ACK that covers it.
+  if (const auto it = window_.find(pkt.bth.psn);
+      it != window_.end() &&
+      it->second.bth.opcode == ib::OpCode::kRcRdmaReadRequest) {
     rc_.trace(it->second, obs::TraceEventType::kRcComplete, "read",
               static_cast<std::int64_t>(it->first));
     window_.erase(it);
@@ -235,6 +239,9 @@ void RcRequester::on_read_response(const ib::Packet& pkt) {
   if (read == reads_.end()) return;  // unsolicited or duplicate
   const std::uint64_t va = read->second;
   reads_.erase(read);
+  // A forged response that names an outstanding READ completes it with the
+  // forger's data: counted like a forged ACK that clears the window.
+  note_spoof(pkt, 1);
   if (rc_.on_read) {
     rc_.on_read(qp_.qpn, va, pkt.payload,
                 pkt.aeth && pkt.aeth->syndrome == kAethAck);

@@ -106,8 +106,9 @@ struct RcObs {
   obs::Counter* naks = nullptr;
   obs::Counter* retry_exhausted = nullptr;
   /// Attack-tagged RC control packets that passed validation AND cleared
-  /// send-window entries they never earned — the rc-spoof campaign's
-  /// success metric. Stays 0 with validate_control on unless a spoofed
+  /// send-window entries they never earned, plus attack-tagged READ
+  /// responses that completed an outstanding READ — the rc-spoof
+  /// campaign's success metric. Stays 0 with validate_control on unless a spoofed
   /// PSN lands inside the live window (~window/2^24 per attempt). Created
   /// on first use ("ca.<n>.rc.spoofed_control_accepted"), so attack-free
   /// runs never grow a snapshot entry.
@@ -176,8 +177,9 @@ class RcRequester {
   /// An ACK or NAK addressed to `qp` (null when no such QP exists).
   IBSEC_HOT static void on_ack(RcContext& rc, QueuePair* qp,
                                const ib::Packet& pkt);
-  /// An RDMA READ response for this QP: retires its request and completes
-  /// its read (a duplicate completes nothing).
+  /// An RDMA READ response for this QP: retires its READ request (never
+  /// another request at that PSN) and completes its read (a duplicate
+  /// completes nothing; an attack-tagged one counts as a spoof).
   void on_read_response(const ib::Packet& pkt);
 
   /// Retry budget exhausted: posts fail from now on.

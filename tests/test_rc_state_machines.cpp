@@ -375,6 +375,48 @@ TEST_F(RcStateMachines, ReadCompletesOnlyOnItsResponse) {
   EXPECT_EQ(completed, std::vector<std::uint64_t>{0x1000});
 }
 
+TEST_F(RcStateMachines, ReadResponseNamingASendRetiresNothing) {
+  build();
+  bool read_completed = false;
+  a->ctx.on_read = [&](ib::Qpn, std::uint64_t, std::vector<std::uint8_t>,
+                       bool) { read_completed = true; };
+  a->post(2);  // SENDs at PSNs 0 and 1
+  a->wire.take();
+  // A response naming the outstanding SEND at PSN 1: not that SEND's ACK.
+  ib::Packet forged = control(a->qp.qpn, kAethAck, 1);
+  forged.bth.opcode = ib::OpCode::kRcRdmaReadResponse;
+  forged.meta.is_attack = true;
+  a->qp.requester.on_read_response(forged);
+  EXPECT_EQ(a->qp.requester.window().size(), 2u);
+  EXPECT_EQ(a->qp.requester.window().count(1), 1u);
+  EXPECT_FALSE(read_completed);
+  EXPECT_EQ(a->ctx.obs.spoofed_control_accepted, nullptr);  // nothing earned
+  // The SEND still retires on its real ACK.
+  control_to_a(control(a->qp.qpn, kAethAck, 1));
+  EXPECT_TRUE(a->qp.requester.window().empty());
+}
+
+TEST_F(RcStateMachines, ForgedReadResponseIsCountedAsASpoof) {
+  build();
+  std::vector<std::uint8_t> data;
+  a->ctx.on_read = [&](ib::Qpn, std::uint64_t, std::vector<std::uint8_t> d,
+                       bool) { data = std::move(d); };
+  ib::Packet read = a->request(ib::OpCode::kRcRdmaReadRequest);
+  a->qp.requester.expect_read(read.bth.psn, 0x2000);
+  a->qp.requester.submit(std::move(read));
+  a->wire.take();
+  ib::Packet forged = control(a->qp.qpn, kAethAck, 0);
+  forged.bth.opcode = ib::OpCode::kRcRdmaReadResponse;
+  forged.payload = {0xEE, 0xEE};
+  forged.meta.is_attack = true;
+  a->qp.requester.on_read_response(forged);
+  // The forger's data completed the read; the spoof is on the record.
+  EXPECT_EQ(data, (std::vector<std::uint8_t>{0xEE, 0xEE}));
+  EXPECT_TRUE(a->qp.requester.window().empty());
+  ASSERT_NE(a->ctx.obs.spoofed_control_accepted, nullptr);
+  EXPECT_EQ(a->ctx.obs.spoofed_control_accepted->value(), 1u);
+}
+
 TEST_F(RcStateMachines, DuplicateReadRequestIsReserved) {
   build();
   const ib::Packet read = a->request(ib::OpCode::kRcRdmaReadRequest);
