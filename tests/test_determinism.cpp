@@ -244,7 +244,7 @@ TEST(Determinism, CampaignGoldenCoversWrappedRings) {
 }
 
 // Off-mesh variants: the same golden-pinning discipline for the fat-tree
-// and dragonfly builders plus the collective workload, so a refactor of the
+// builder plus the collective workload, so a refactor of the
 // topology layer (ECMP hash, link wiring order, route construction) or the
 // collective scheduler cannot silently change simulation behaviour.
 ScenarioConfig off_mesh_variant(int i) {
@@ -263,9 +263,9 @@ ScenarioConfig off_mesh_variant(int i) {
     cfg.num_attackers = 2;
     cfg.workload = *WorkloadSpec::parse("alltoall:interval_us=20");
   } else {
-    // Valiant-routed dragonfly, IF filtering, recursive-doubling allreduce.
-    cfg.fabric.topology =
-        *fabric::TopologySpec::parse("dragonfly:a=2,p=2,h=1,g=3,routing=valiant");
+    // Fat-tree with IF filtering and a recursive-doubling allreduce: the
+    // only golden that runs IF with that collective.
+    cfg.fabric.topology = *fabric::TopologySpec::parse("fattree:k=4");
     cfg.fabric.filter_mode = fabric::FilterMode::kIf;
     cfg.workload = *WorkloadSpec::parse("allreduce:algo=rd,interval_us=20");
   }
@@ -285,10 +285,10 @@ TEST(Determinism, OffMeshGoldenExportHashes) {
        "4264f6825dd01c1d35de884e68d9988a4a1c43208157e5562efa4549a8d2d6da",
        "a3d3186cf44766b14dc58b893c324bb726ef981c53628469aad9dc133d53755c",
        "a71a9a948e0698bce00b5990242f87f681212842da90040cc18704e8150aa7bd"},
-      {1, "7b80f0eaa5b9a5aa7750550912be326ea18c99ffb1fd5e794b81d6867ae21c2c",
-       "a36190491968aab3864d05cad9df08318461f4a54316f00df00b19cf8f8a5870",
-       "11d4e3bf8ce7f7c34e41544d2442c86e4792c3cb9b66d2eaded120da91010eb0",
-       "dc996983c88caeba1c9520b62b3ad98b113386b0b378eb8af3380d0470807727"},
+      {1, "b03228ec23b5df2125e593cc8290b463b47fde67c24ead5df5f0e03813541702",
+       "2d03abf73f105fc83beca2541bfd8777c70b5c66a6893c5ed0170e93b1f279b8",
+       "558f4436053e990645e2f6bf75ca952ae089667cbcab93e20aa6d65db61cec78",
+       "066d07bbb67d57ee8255e235d1beccc35fc00b970f9ccbb84b7c2f06b747a3a1"},
   };
   for (const Golden& golden : kGolden) {
     Scenario scenario(off_mesh_variant(golden.variant));
