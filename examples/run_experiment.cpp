@@ -26,10 +26,8 @@ void usage(const char* prog) {
   std::printf(
       "usage: %s [options]\n"
       "  --seed N             RNG seed (default 1)\n"
-      "  --topology SPEC      mesh[:WxH] | fattree:k=K |\n"
-      "                       dragonfly:a=A,p=P,h=H[,g=G][,routing=minimal|\n"
-      "                       valiant]; all accept ',seed=N' for ECMP hashing\n"
-      "                       (default mesh 4x4)\n"
+      "  --topology SPEC      mesh[:WxH] | fattree:k=K[,seed=N] (N seeds\n"
+      "                       the fat-tree's ECMP hash; default mesh 4x4)\n"
       "  --workload SPEC      MPI-style collective over the honest nodes:\n"
       "                       alltoall | allreduce:algo=ring|rd |\n"
       "                       incast[:target=R]; all accept ',bytes=B',\n"

@@ -49,7 +49,7 @@ struct FabricConfig {
   LinkParams link;
 
   /// Which topology the fabric builds (see topology_builder.h). Defaults to
-  /// the paper's mesh; fat-tree/dragonfly shape parameters live inside the
+  /// the paper's mesh; fat-tree shape parameters live inside the
   /// spec, mesh dimensions in mesh_width/mesh_height below (kept as direct
   /// fields for compatibility with everything that sizes the mesh).
   TopologySpec topology;

@@ -53,7 +53,7 @@ void Fabric::build() {
     connect_switches(link.a, link.port_a, link.b, link.port_b);
   }
 
-  // Destination routing tables (all ECMP/Valiant choice already resolved).
+  // Destination routing tables (all ECMP choice already resolved).
   for (int s = 0; s < blueprint_.num_switches; ++s) {
     Switch& sw = *switches_[static_cast<std::size_t>(s)];
     const std::vector<int>& ports =

@@ -1,5 +1,5 @@
 // Fabric construction: instantiates whatever TopologyBlueprint the
-// configured TopologySpec generates (mesh / fat-tree / dragonfly) — one
+// configured TopologySpec generates (mesh / fat-tree) — one
 // Switch per blueprint switch, one HCA per node, cables and destination
 // routing tables exactly as the builder laid them out.
 //

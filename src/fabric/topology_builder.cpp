@@ -1,7 +1,6 @@
 #include "fabric/topology_builder.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/check.h"
 
@@ -171,155 +170,6 @@ TopologyBlueprint build_fattree(const FabricConfig& cfg) {
   return bp;
 }
 
-// Dragonfly: g groups of `a` routers; each router carries `p` hosts,
-// (a-1) intra-group links (local clique), and `h` global ports. Router
-// ports: [0,p) hosts, [p, p+a-1) local, [p+a-1, p+a-1+h) global.
-//
-// Global wiring enumerates unordered group pairs in lexicographic order,
-// each pair consuming the next free global endpoint on both sides; with
-// g <= a*h+1 every pair gets at least one channel, and leftover endpoints
-// are dealt out round-robin as extra parallel channels (path diversity for
-// the ECMP pick).
-//
-// Routing is destination-table encoded. The channel used from group gi
-// toward group gj for destination d is chosen by
-// ecmp_hash(seed, gi*kGroupSalt + gj, d) — a function of (source group,
-// target group, dest) only, so every router inside gi agrees on which
-// channel owner to forward to (no intra-group ping-pong). Valiant mode
-// detours via a per-destination intermediate group vg(d); groups other
-// than vg(d) and the destination group route toward vg(d), which routes
-// minimally. Each destination's routes form a loop-free DAG over groups
-// with <= 2 global hops, but the union over all destinations does not:
-// its channel dependencies have cycles, so Valiant routing can deadlock
-// on credits (the ROADMAP's deadlock item).
-TopologyBlueprint build_dragonfly(const FabricConfig& cfg) {
-  const TopologySpec& spec = cfg.topology;
-  const int a = spec.df_routers;
-  const int p = spec.df_hosts;
-  const int h = spec.df_globals;
-  const int g = spec.dragonfly_groups();
-  IBSEC_CHECK(a >= 1 && p >= 1 && h >= 1) << "dragonfly a=" << a << " p=" << p
-                                          << " h=" << h;
-  IBSEC_CHECK(g >= 2 && g - 1 <= a * h)
-      << "dragonfly groups g=" << g << " need g-1 <= a*h=" << a * h;
-  const int n = g * a * p;
-  const std::uint64_t seed = spec.ecmp_seed;
-  constexpr std::uint64_t kGroupSalt = 0x10000;
-
-  TopologyBlueprint bp;
-  bp.num_nodes = n;
-  bp.num_switches = g * a;
-  bp.switch_radix = p + (a - 1) + h;
-
-  const auto router_id = [a](int grp, int r) { return grp * a + r; };
-  // Local port on router r facing router r2 of the same group.
-  const auto local_port = [p](int r, int r2) {
-    return p + (r2 < r ? r2 : r2 - 1);
-  };
-
-  bp.attach.resize(static_cast<std::size_t>(n));
-  for (int d = 0; d < n; ++d) {
-    bp.attach[static_cast<std::size_t>(d)] = {d / p, d % p};
-  }
-
-  // Local clique links within each group.
-  for (int grp = 0; grp < g; ++grp) {
-    for (int r = 0; r < a; ++r) {
-      for (int r2 = r + 1; r2 < a; ++r2) {
-        bp.links.push_back({router_id(grp, r), local_port(r, r2),
-                            router_id(grp, r2), local_port(r2, r)});
-      }
-    }
-  }
-
-  // Global channels. Endpoint c of group grp (c in [0, a*h)) is router
-  // c/h's global port (c%h). channels[gi][gj] lists gi-side endpoints of
-  // every gi<->gj channel as (router index within gi, absolute port).
-  std::vector<int> next_free(static_cast<std::size_t>(g), 0);
-  std::vector<std::vector<std::vector<std::pair<int, int>>>> channels(
-      static_cast<std::size_t>(g),
-      std::vector<std::vector<std::pair<int, int>>>(
-          static_cast<std::size_t>(g)));
-  const auto endpoint = [&](int grp) {
-    const int c = next_free[static_cast<std::size_t>(grp)]++;
-    return std::pair<int, int>{c / h, p + (a - 1) + c % h};
-  };
-  const auto wire_pair = [&](int gi, int gj) {
-    const auto [ri, pi] = endpoint(gi);
-    const auto [rj, pj] = endpoint(gj);
-    bp.links.push_back({router_id(gi, ri), pi, router_id(gj, rj), pj});
-    channels[static_cast<std::size_t>(gi)][static_cast<std::size_t>(gj)]
-        .push_back({ri, pi});
-    channels[static_cast<std::size_t>(gj)][static_cast<std::size_t>(gi)]
-        .push_back({rj, pj});
-  };
-  for (int gi = 0; gi < g; ++gi) {
-    for (int gj = gi + 1; gj < g; ++gj) wire_pair(gi, gj);
-  }
-  // Deal leftover endpoints out as extra parallel channels.
-  bool wired = true;
-  while (wired) {
-    wired = false;
-    for (int gi = 0; gi < g && !wired; ++gi) {
-      for (int gj = gi + 1; gj < g; ++gj) {
-        if (next_free[static_cast<std::size_t>(gi)] < a * h &&
-            next_free[static_cast<std::size_t>(gj)] < a * h) {
-          wire_pair(gi, gj);
-          wired = true;
-          break;
-        }
-      }
-    }
-  }
-
-  // The channel every router in `gi` agrees to use toward `gj` for dest d.
-  const auto pick_channel = [&](int gi, int gj, int d) {
-    const auto& list =
-        channels[static_cast<std::size_t>(gi)][static_cast<std::size_t>(gj)];
-    IBSEC_CHECK(!list.empty()) << "no channel " << gi << "->" << gj;
-    return list[static_cast<std::size_t>(
-        ecmp_hash(seed,
-                  static_cast<std::uint64_t>(gi) * kGroupSalt +
-                      static_cast<std::uint64_t>(gj),
-                  static_cast<std::uint64_t>(d)) %
-        list.size())];
-  };
-
-  bp.routes.assign(static_cast<std::size_t>(bp.num_switches),
-                   std::vector<int>(static_cast<std::size_t>(n), 0));
-  for (int d = 0; d < n; ++d) {
-    const int drouter = d / p;
-    const int dgrp = drouter / a;
-    const int dr = drouter % a;
-    // Valiant intermediate group: a pure function of the destination, so
-    // the per-destination tables stay loop-free across groups.
-    const int vg = static_cast<int>(
-        ecmp_hash(seed ^ 0x9E3779B97F4A7C15ull, 0x5A1A,
-                  static_cast<std::uint64_t>(d)) %
-        static_cast<std::uint64_t>(g));
-    for (int grp = 0; grp < g; ++grp) {
-      for (int r = 0; r < a; ++r) {
-        const int s = router_id(grp, r);
-        int port;
-        if (grp == dgrp) {
-          port = (r == dr) ? d % p : local_port(r, dr);
-        } else {
-          int target = dgrp;
-          if (spec.df_routing == DragonflyRouting::kValiant && grp != vg &&
-              vg != dgrp) {
-            target = vg;
-          }
-          const auto [owner, gport] = pick_channel(grp, target, d);
-          port = (r == owner) ? gport : local_port(r, owner);
-        }
-        bp.routes[static_cast<std::size_t>(s)][static_cast<std::size_t>(d)] =
-            port;
-      }
-    }
-  }
-  return bp;
-}
-
 }  // namespace
 
 std::uint64_t ecmp_hash(std::uint64_t seed, std::uint64_t salt,
@@ -386,8 +236,6 @@ TopologyBlueprint build_topology(const FabricConfig& cfg) {
       return build_mesh(cfg);
     case TopologyKind::kFatTree:
       return build_fattree(cfg);
-    case TopologyKind::kDragonfly:
-      return build_dragonfly(cfg);
   }
   IBSEC_CHECK(false) << "unknown topology kind";
   return {};

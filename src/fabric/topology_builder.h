@@ -72,7 +72,7 @@ struct TopologyBlueprint {
 TopologyBlueprint build_topology(const FabricConfig& cfg);
 
 /// The equal-cost tie-break hash (splitmix64 over seed/salt/dest). Exposed
-/// so tests can predict which up-port or global channel a route takes.
+/// so tests can predict which up-port a route takes.
 std::uint64_t ecmp_hash(std::uint64_t seed, std::uint64_t salt,
                         std::uint64_t dest);
 

@@ -38,8 +38,6 @@ int TopologySpec::node_count(int fallback_w, int fallback_h) const {
     }
     case TopologyKind::kFatTree:
       return fattree_k * fattree_k * fattree_k / 4;
-    case TopologyKind::kDragonfly:
-      return df_routers * df_hosts * dragonfly_groups();
   }
   return 0;
 }
@@ -51,10 +49,8 @@ std::optional<TopologySpec> TopologySpec::parse(std::string_view text) {
 
   if (kind == "mesh") {
     spec.kind = TopologyKind::kMesh;
-  } else if (kind == "fattree" || kind == "fat-tree") {
+  } else if (kind == "fattree") {
     spec.kind = TopologyKind::kFatTree;
-  } else if (kind == "dragonfly") {
-    spec.kind = TopologyKind::kDragonfly;
   } else {
     return std::nullopt;
   }
@@ -74,62 +70,22 @@ std::optional<TopologySpec> TopologySpec::parse(std::string_view text) {
       }
       continue;
     }
-    if (key == "seed") {
-      if (!parse_int(value, spec.ecmp_seed)) return std::nullopt;
-      continue;
-    }
-    switch (spec.kind) {
-      case TopologyKind::kMesh:
-        return std::nullopt;  // mesh has no key=value shape parameters
-      case TopologyKind::kFatTree:
-        if (key != "k" || !parse_int(value, spec.fattree_k)) {
-          return std::nullopt;
-        }
-        if (spec.fattree_k < 2 || spec.fattree_k % 2 != 0) {
-          return std::nullopt;
-        }
-        break;
-      case TopologyKind::kDragonfly:
-        if (key == "a") {
-          if (!parse_int(value, spec.df_routers)) return std::nullopt;
-        } else if (key == "p") {
-          if (!parse_int(value, spec.df_hosts)) return std::nullopt;
-        } else if (key == "h") {
-          if (!parse_int(value, spec.df_globals)) return std::nullopt;
-        } else if (key == "g") {
-          if (!parse_int(value, spec.df_groups)) return std::nullopt;
-        } else if (key == "routing") {
-          if (value == "minimal") {
-            spec.df_routing = DragonflyRouting::kMinimal;
-          } else if (value == "valiant") {
-            spec.df_routing = DragonflyRouting::kValiant;
-          } else {
-            return std::nullopt;
-          }
-        } else {
-          return std::nullopt;
-        }
-        break;
+    // Only the fat-tree has key=value parameters: its arity and the seed of
+    // its ECMP hash (the mesh's XY routes have no choice to seed).
+    if (spec.kind != TopologyKind::kFatTree) return std::nullopt;
+    if (key == "k") {
+      if (!parse_int(value, spec.fattree_k) || spec.fattree_k < 2 ||
+          spec.fattree_k % 2 != 0) {
+        return std::nullopt;
+      }
+    } else if (key != "seed" || !parse_int(value, spec.ecmp_seed)) {
+      return std::nullopt;
     }
   }
 
   if (spec.kind == TopologyKind::kFatTree) {
     const int half = spec.fattree_k / 2;  // k^3/4 hosts
     if (!hosts_fit_lids({half, half, spec.fattree_k})) return std::nullopt;
-  }
-  if (spec.kind == TopologyKind::kDragonfly) {
-    if (spec.df_routers < 1 || spec.df_hosts < 1 || spec.df_globals < 1) {
-      return std::nullopt;
-    }
-    // In 64 bits: a*h overflows int long before the host bound rejects it.
-    const std::int64_t max_groups =
-        std::int64_t{spec.df_routers} * spec.df_globals + 1;
-    const std::int64_t groups =
-        spec.df_groups > 0 ? spec.df_groups : max_groups;
-    if (spec.df_groups < 0 || groups < 2 || groups > max_groups ||
-        !hosts_fit_lids({spec.df_routers, spec.df_hosts, groups})) {
-      return std::nullopt;
-    }
   }
   return spec;
 }
@@ -145,13 +101,12 @@ std::string TopologySpec::to_string() const {
       }
       break;
     case TopologyKind::kFatTree:
-      std::snprintf(buf, sizeof(buf), "fattree:k=%d", fattree_k);
-      break;
-    case TopologyKind::kDragonfly:
-      std::snprintf(buf, sizeof(buf), "dragonfly:a=%d,p=%d,h=%d,g=%d%s",
-                    df_routers, df_hosts, df_globals, dragonfly_groups(),
-                    df_routing == DragonflyRouting::kValiant ? ",routing=valiant"
-                                                             : "");
+      if (ecmp_seed != TopologySpec{}.ecmp_seed) {
+        std::snprintf(buf, sizeof(buf), "fattree:k=%d,seed=%llu", fattree_k,
+                      static_cast<unsigned long long>(ecmp_seed));
+      } else {
+        std::snprintf(buf, sizeof(buf), "fattree:k=%d", fattree_k);
+      }
       break;
   }
   return buf;
@@ -176,15 +131,6 @@ std::string TopologySpec::describe(int fallback_w, int fallback_h) const {
                     fattree_k);
       break;
     }
-    case TopologyKind::kDragonfly:
-      std::snprintf(
-          buf, sizeof(buf),
-          "dragonfly a=%d p=%d h=%d g=%d %s (%d hosts, %d routers, radix %d)",
-          df_routers, df_hosts, df_globals, dragonfly_groups(),
-          df_routing == DragonflyRouting::kValiant ? "valiant" : "minimal",
-          hosts, df_routers * dragonfly_groups(),
-          df_hosts + df_routers - 1 + df_globals);
-      break;
   }
   return buf;
 }

@@ -1,5 +1,5 @@
-// Topology selection for the fabric: the paper's mesh plus the two
-// deployment shapes real IB clusters use (k-ary fat-tree, dragonfly).
+// Topology selection for the fabric: the paper's mesh plus the k-ary
+// fat-tree, the shape of an MPI cluster on InfiniBand.
 //
 // A TopologySpec is pure shape description — no pointers into the built
 // fabric — so it parses from a CLI string ("fattree:k=4"), embeds in
@@ -15,16 +15,8 @@
 namespace ibsec::fabric {
 
 enum class TopologyKind : std::uint8_t {
-  kMesh = 0,       ///< paper testbed: WxH mesh, XY routing, 1 HCA per switch
-  kFatTree = 1,    ///< k-ary fat-tree: k pods, k^3/4 hosts, up/down routing
-  kDragonfly = 2,  ///< groups of routers with all-to-all global links
-};
-
-/// Dragonfly inter-group path selection (both are encoded into the static
-/// per-destination routing tables — see topology_builder.h).
-enum class DragonflyRouting : std::uint8_t {
-  kMinimal = 0,  ///< local -> global -> local (shortest path)
-  kValiant = 1,  ///< detour via a per-destination random intermediate group
+  kMesh = 0,     ///< paper testbed: WxH mesh, XY routing, 1 HCA per switch
+  kFatTree = 1,  ///< k-ary fat-tree: k pods, k^3/4 hosts, up/down routing
 };
 
 struct TopologySpec {
@@ -40,30 +32,16 @@ struct TopologySpec {
   /// aggregation switches, (k/2)^2 cores, k^3/4 hosts, radix k everywhere.
   int fattree_k = 4;
 
-  /// Dragonfly shape: `a` routers per group, `p` hosts per router, `h`
-  /// global links per router, `g` groups (0 selects the balanced g = a*h+1,
-  /// which consumes every global port). Constraint: 2 <= g <= a*h + 1.
-  int df_routers = 4;
-  int df_hosts = 2;
-  int df_globals = 1;
-  int df_groups = 0;
-  DragonflyRouting df_routing = DragonflyRouting::kMinimal;
-
-  /// Seed for the deterministic hash that resolves every equal-cost choice
-  /// (fat-tree up-port ECMP, dragonfly global-channel pick, Valiant
-  /// intermediate group). Same spec + same seed => identical route tables.
+  /// Seed for the deterministic hash that resolves the fat-tree's
+  /// equal-cost up-port choices. Same spec + same seed => identical route
+  /// tables.
   std::uint64_t ecmp_seed = 0xEC3F;
-
-  int dragonfly_groups() const {
-    return df_groups > 0 ? df_groups : df_routers * df_globals + 1;
-  }
 
   /// Host count implied by the spec; mesh uses the fallback dimensions for
   /// zero fields (see mesh_width above).
   int node_count(int fallback_w, int fallback_h) const;
 
-  /// Grammar: "mesh[:WxH]" | "fattree:k=K" | "dragonfly:a=A,p=P,h=H[,g=G]
-  /// [,routing=minimal|valiant]"; every kind accepts a trailing ",seed=N".
+  /// Grammar: "mesh[:WxH]" | "fattree:k=K[,seed=N]".
   /// Returns nullopt on any unrecognized kind, key, or malformed value, and
   /// on a shape with more than 0xBFFF hosts (IBA's unicast LIDs).
   static std::optional<TopologySpec> parse(std::string_view text);

@@ -489,7 +489,7 @@ class SideChannelCampaign final : public AttackCampaign {
   void start(SimTime at) override {
     const auto& cfg = ctx_.fabric->config();
     // The timing channel is built on XY-mesh row geometry (shared eastbound
-    // row links); it does not generalize to fat-tree/dragonfly route tables.
+    // row links); it does not generalize to fat-tree route tables.
     IBSEC_CHECK(cfg.topology.kind == fabric::TopologyKind::kMesh)
         << "side-channel campaign needs a mesh topology, got "
         << cfg.topology.to_string();

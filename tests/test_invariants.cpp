@@ -37,9 +37,9 @@ ScenarioConfig fattree_config() {
 /// attackers are stopped, so the event queue empties) and snapshots. A
 /// drained fabric holds no packet: every slot of the Simulator's packet
 /// pool is back, whatever path (delivery, switch drop, wire drop, flap)
-/// retired its packet. No dragonfly runs through here: Valiant routing on
-/// it can close a credit loop that parks packets for good (ROADMAP, "routes
-/// that cannot deadlock"), which this check would report as held slots.
+/// retired its packet. That holds because every topology's routes have an
+/// acyclic channel dependency graph (test_topology_gen), so no credit loop
+/// can park packets for good.
 obs::Snapshot run_and_drain(Scenario& scenario) {
   scenario.run();
   sim::Simulator& sim = scenario.fabric().simulator();

@@ -1,19 +1,25 @@
 // Property-based checks over the topology generators — the builder-contract
-// analog of detlint's source contracts. For seeded sweeps of fat-tree
-// k∈{2,4,8} and dragonfly (a,p,h,g) shapes:
+// analog of detlint's source contracts. For seeded sweeps of mesh and
+// fat-tree k∈{2,4,8} shapes:
 //   - structural sanity: every port is wired at most once, attach ports
 //     never collide with switch links, link endpoints are in range;
 //   - full reachability: every (switch, destination) route-table walk ends
 //     at the destination's ingress switch on the attach port;
 //   - loop freedom: no walk exceeds the topology's hop bound;
+//   - deadlock freedom: the channel dependency graph of the routes is
+//     acyclic, so credit flow control can never hold packets in a cycle;
 //   - link bidirectionality: the built fabric's output ports pair up;
 //   - LID/ingress-port invariants: lid_of_node bijective, attach mapping
 //     injective, packets actually delivered end to end.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "fabric/topology_builder.h"
 #include "workload/scenario.h"
@@ -83,6 +89,74 @@ void check_routes(const TopologyBlueprint& bp, int hop_bound) {
   const int worst = bp.max_route_hops(hop_bound);
   ASSERT_GE(worst, 0) << "a route loops, dead-ends, or misdelivers";
   EXPECT_LE(worst, hop_bound);
+}
+
+// Deadlock freedom (Dally & Seitz): the channel dependency graph (CDG) of
+// the routes must be acyclic. Its nodes are the switch-to-switch channels,
+// named by their sending (switch, port). For each destination, a packet that
+// leaves switch s on channel (s, routes[s][d]) and reaches switch t, not the
+// destination's, next holds (t, routes[t][d]): one dependency per pair of
+// consecutive channels on the route. Every switch counts as a possible start,
+// which can only add dependencies. Kahn's algorithm then peels channels with
+// no incoming dependency; any left over lie on, or behind, a cycle.
+struct ChannelDependencies {
+  std::size_t channels = 0;
+  std::size_t dependencies = 0;  // distinct (from, to) channel pairs
+  std::size_t on_cycles = 0;     // channels Kahn's algorithm cannot peel
+};
+
+ChannelDependencies channel_dependencies(const TopologyBlueprint& bp) {
+  const auto adj = bp.switch_adjacency();
+  const auto channel = [&bp](int sw, int port) {
+    return static_cast<std::size_t>(sw) *
+               static_cast<std::size_t>(bp.switch_radix) +
+           static_cast<std::size_t>(port);
+  };
+  std::set<std::pair<std::size_t, std::size_t>> edges;
+  for (int d = 0; d < bp.num_nodes; ++d) {
+    const int dest_sw = bp.attach[static_cast<std::size_t>(d)].switch_id;
+    for (int s = 0; s < bp.num_switches; ++s) {
+      if (s == dest_sw) continue;
+      const int port =
+          bp.routes[static_cast<std::size_t>(s)][static_cast<std::size_t>(d)];
+      const int t =
+          adj[static_cast<std::size_t>(s)][static_cast<std::size_t>(port)].sw;
+      if (t < 0 || t == dest_sw) continue;
+      edges.insert({channel(s, port),
+                    channel(t, bp.routes[static_cast<std::size_t>(t)]
+                                        [static_cast<std::size_t>(d)])});
+    }
+  }
+
+  const std::size_t slots = static_cast<std::size_t>(bp.num_switches) *
+                            static_cast<std::size_t>(bp.switch_radix);
+  std::vector<std::vector<std::size_t>> out(slots);
+  std::vector<int> in_degree(slots, 0);
+  for (const auto& [from, to] : edges) {
+    out[from].push_back(to);
+    ++in_degree[to];
+  }
+  std::vector<std::size_t> ready;
+  for (const auto& link : bp.links) {
+    for (const std::size_t c :
+         {channel(link.a, link.port_a), channel(link.b, link.port_b)}) {
+      if (in_degree[c] == 0) ready.push_back(c);
+    }
+  }
+  std::size_t peeled = 0;
+  while (!ready.empty()) {
+    const std::size_t c = ready.back();
+    ready.pop_back();
+    ++peeled;
+    for (const std::size_t next : out[c]) {
+      if (--in_degree[next] == 0) ready.push_back(next);
+    }
+  }
+  ChannelDependencies cdg;
+  cdg.channels = 2 * bp.links.size();
+  cdg.dependencies = edges.size();
+  cdg.on_cycles = cdg.channels - peeled;
+  return cdg;
 }
 
 // End-to-end packet check on the constructed fabric, plus link
@@ -210,105 +284,55 @@ TEST(FatTree, UpPortSpreadUsesMultiplePaths) {
   }
 }
 
-// --------------------------------------------------------------- dragonfly
+// ---------------------------------------------------------- deadlock freedom
 
-struct DragonflyShape {
-  int a, p, h, g;  // g = 0 selects the balanced a*h+1
-  DragonflyRouting routing;
-};
+class RoutesDeadlockFree : public ::testing::TestWithParam<const char*> {};
 
-// Prints the shape by field: gtest would otherwise list the struct's raw
-// bytes, tail padding included, in each test's ctest name.
-void PrintTo(const DragonflyShape& s, std::ostream* os) {
-  *os << "a=" << s.a << ",p=" << s.p << ",h=" << s.h << ",g=" << s.g
-      << (s.routing == DragonflyRouting::kValiant ? ",valiant" : ",minimal");
-}
-
-class DragonflySweep : public ::testing::TestWithParam<DragonflyShape> {};
-
-TEST_P(DragonflySweep, BlueprintProperties) {
-  const DragonflyShape shape = GetParam();
-  FabricConfig cfg;
-  cfg.topology.kind = TopologyKind::kDragonfly;
-  cfg.topology.df_routers = shape.a;
-  cfg.topology.df_hosts = shape.p;
-  cfg.topology.df_globals = shape.h;
-  cfg.topology.df_groups = shape.g;
-  cfg.topology.df_routing = shape.routing;
-  const TopologyBlueprint bp = build_topology(cfg);
-
-  const int g = cfg.topology.dragonfly_groups();
-  EXPECT_EQ(bp.num_nodes, shape.a * shape.p * g);
-  EXPECT_EQ(bp.num_switches, shape.a * g);
-  EXPECT_EQ(bp.switch_radix, shape.p + shape.a - 1 + shape.h);
-  check_blueprint_structure(bp);
-  // Minimal: local->global->local (3 switch hops). Valiant adds a second
-  // local->global leg through the intermediate group (5 hops).
-  check_routes(bp, shape.routing == DragonflyRouting::kValiant ? 5 : 3);
-
-  // Every group pair has at least one global channel (wire-up guarantee).
-  const auto adj = bp.switch_adjacency();
-  std::set<std::pair<int, int>> group_pairs;
-  for (const auto& link : bp.links) {
-    const int ga = link.a / shape.a;
-    const int gb = link.b / shape.a;
-    if (ga != gb) group_pairs.insert({std::min(ga, gb), std::max(ga, gb)});
+TEST_P(RoutesDeadlockFree, ChannelDependencyGraphIsAcyclic) {
+  const auto spec = TopologySpec::parse(GetParam());
+  ASSERT_TRUE(spec.has_value()) << GetParam();
+  // The default ECMP seed and three others; the mesh's XY routes ignore it.
+  for (const std::uint64_t seed :
+       {TopologySpec{}.ecmp_seed, std::uint64_t{1}, std::uint64_t{7},
+        std::uint64_t{0xDEADBEEF}}) {
+    FabricConfig cfg;
+    cfg.topology = *spec;
+    cfg.topology.ecmp_seed = seed;
+    const ChannelDependencies cdg = channel_dependencies(build_topology(cfg));
+    EXPECT_EQ(cdg.on_cycles, 0u)
+        << GetParam() << " seed=" << seed << ": " << cdg.on_cycles
+        << " of " << cdg.channels << " channels sit on or behind a cycle";
   }
-  EXPECT_EQ(static_cast<int>(group_pairs.size()), g * (g - 1) / 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Shapes, DragonflySweep,
-    ::testing::Values(
-        DragonflyShape{2, 2, 1, 3, DragonflyRouting::kMinimal},
-        DragonflyShape{2, 2, 1, 3, DragonflyRouting::kValiant},
-        DragonflyShape{4, 2, 1, 0, DragonflyRouting::kMinimal},   // g=5
-        DragonflyShape{4, 2, 1, 0, DragonflyRouting::kValiant},
-        DragonflyShape{2, 1, 2, 4, DragonflyRouting::kMinimal},
-        DragonflyShape{3, 2, 2, 7, DragonflyRouting::kValiant},
-        DragonflyShape{1, 2, 2, 3, DragonflyRouting::kMinimal},   // a=1 edge
-        DragonflyShape{4, 1, 2, 9, DragonflyRouting::kValiant}));
+    Shapes, RoutesDeadlockFree,
+    ::testing::Values("mesh:2x1", "mesh", "mesh:3x5", "mesh:8x8",
+                      "fattree:k=2", "fattree:k=4", "fattree:k=8"),
+    [](const auto& info) {
+      std::string name(info.param);
+      for (char& c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+      }
+      return name;
+    });
 
-TEST(Dragonfly, BuiltFabricDeliversAllPairsMinimal) {
+TEST(ChannelDependencyGraph, CountsArePinned) {
+  // The graphs the sweep checks are not empty: a route of one switch hop
+  // has no dependency, but longer ones do.
   FabricConfig cfg;
-  cfg.topology.kind = TopologyKind::kDragonfly;
-  cfg.topology.df_routers = 2;
-  cfg.topology.df_hosts = 2;
-  cfg.topology.df_globals = 1;
-  cfg.topology.df_groups = 3;  // 12 hosts, 6 routers
-  check_built_fabric(cfg);
-}
-
-TEST(Dragonfly, BuiltFabricDeliversAllPairsValiant) {
-  FabricConfig cfg;
-  cfg.topology.kind = TopologyKind::kDragonfly;
-  cfg.topology.df_routers = 4;
-  cfg.topology.df_hosts = 2;
-  cfg.topology.df_globals = 1;
-  cfg.topology.df_groups = 0;  // balanced g=5: 40 hosts, 20 routers
-  cfg.topology.df_routing = DragonflyRouting::kValiant;
-  check_built_fabric(cfg);
-}
-
-TEST(Dragonfly, ValiantDetoursSomeTraffic) {
-  // Valiant must differ from minimal for at least one (switch, dest) pair
-  // (per-destination intermediate groups make some first hops diverge).
-  FabricConfig cfg;
-  cfg.topology.kind = TopologyKind::kDragonfly;
-  cfg.topology.df_routers = 4;
-  cfg.topology.df_hosts = 2;
-  cfg.topology.df_globals = 1;
-  cfg.topology.df_groups = 0;
-  const TopologyBlueprint minimal = build_topology(cfg);
-  cfg.topology.df_routing = DragonflyRouting::kValiant;
-  const TopologyBlueprint valiant = build_topology(cfg);
-  EXPECT_NE(minimal.routes, valiant.routes);
+  cfg.topology = *TopologySpec::parse("mesh:2x1");
+  EXPECT_EQ(channel_dependencies(build_topology(cfg)).dependencies, 0u);
+  cfg.topology = *TopologySpec::parse("fattree:k=8");
+  const ChannelDependencies fattree = channel_dependencies(build_topology(cfg));
+  EXPECT_EQ(fattree.channels, 512u);
+  EXPECT_EQ(fattree.dependencies, 2170u);
 }
 
 // ------------------------------------------------------------------- mesh
 
 TEST(MeshBlueprint, MatchesLegacyContract) {
-  // The mesh is now just one builder among three; its blueprint must keep
+  // The mesh is one builder among two; its blueprint must keep
   // the legacy 1:1 node<->switch, ingress-port-0 shape.
   FabricConfig cfg;
   cfg.mesh_width = 5;
@@ -328,27 +352,30 @@ TEST(MeshBlueprint, MatchesLegacyContract) {
 // ------------------------------------------------------------------- spec
 
 TEST(TopologySpec, ParseRoundTrips) {
-  for (const char* text :
-       {"mesh:4x4", "fattree:k=4", "fattree:k=8",
-        "dragonfly:a=4,p=2,h=1,g=5", "dragonfly:a=2,p=2,h=1,g=3,routing=valiant"}) {
+  for (const char* text : {"mesh", "mesh:4x4", "mesh:3x5", "fattree:k=4",
+                           "fattree:k=8", "fattree:k=4,seed=7"}) {
     const auto spec = TopologySpec::parse(text);
     ASSERT_TRUE(spec.has_value()) << text;
+    EXPECT_EQ(spec->to_string(), text);
     const auto again = TopologySpec::parse(spec->to_string());
     ASSERT_TRUE(again.has_value()) << spec->to_string();
-    EXPECT_EQ(again->to_string(), spec->to_string());
+    EXPECT_EQ(again->kind, spec->kind) << text;
+    EXPECT_EQ(again->mesh_width, spec->mesh_width) << text;
+    EXPECT_EQ(again->mesh_height, spec->mesh_height) << text;
+    EXPECT_EQ(again->fattree_k, spec->fattree_k) << text;
+    EXPECT_EQ(again->ecmp_seed, spec->ecmp_seed) << text;
   }
 }
 
 TEST(TopologySpec, ParseRejectsMalformedSpecs) {
   for (const char* text :
        {"torus:4x4", "fattree:k=3", "fattree:k=0", "fattree:q=4",
-        "dragonfly:a=2,p=2,h=1,g=99",  // g-1 > a*h: not enough global ports
-        "dragonfly:a=2,p=2,h=1,g=1", "dragonfly:a=2,p=2,h=1,routing=ugal",
         "mesh:0x4", "mesh:4x", "mesh:k=4", "",
+        // Retired spellings and a key the mesh's XY routes would ignore.
+        "dragonfly:a=2,p=2,h=1,g=3", "fat-tree:k=4", "mesh:4x4,seed=3",
         // More hosts than the 0xBFFF unicast LIDs (node + 1 in 16 bits);
         // int arithmetic would also overflow on each of these.
-        "fattree:k=2000", "mesh:100000x100000",
-        "dragonfly:a=100000,p=100000,h=1"}) {
+        "fattree:k=2000", "mesh:100000x100000"}) {
     EXPECT_FALSE(TopologySpec::parse(text).has_value()) << text;
   }
 }
@@ -357,9 +384,6 @@ TEST(TopologySpec, HostCountStaysWithinUnicastLids) {
   const auto fattree = TopologySpec::parse("fattree:k=8");
   ASSERT_TRUE(fattree.has_value());
   EXPECT_EQ(fattree->node_count(0, 0), 128);
-  const auto dragonfly = TopologySpec::parse("dragonfly:a=4,p=2,h=2");
-  ASSERT_TRUE(dragonfly.has_value());
-  EXPECT_EQ(dragonfly->node_count(0, 0), 72);
   // The bound is exact: 0xBFFF hosts parse, one more does not.
   const auto widest = TopologySpec::parse("mesh:1x49151");
   ASSERT_TRUE(widest.has_value());
@@ -400,25 +424,6 @@ TEST(OffMeshScenario, FatTreeRunsFullScenario) {
   EXPECT_GT(r.delivered, 100u);
   EXPECT_GT(r.attack_packets, 0u);
   EXPECT_GT(r.sif_installs, 0u);
-  EXPECT_LE(scenario.fabric().max_link_utilization(), 1.0);
-}
-
-TEST(OffMeshScenario, DragonflyRunsFullScenario) {
-  workload::ScenarioConfig cfg;
-  cfg.seed = 12;
-  cfg.fabric.topology.kind = TopologyKind::kDragonfly;
-  cfg.fabric.topology.df_routers = 2;
-  cfg.fabric.topology.df_hosts = 2;
-  cfg.fabric.topology.df_globals = 1;
-  cfg.fabric.topology.df_groups = 3;
-  cfg.num_partitions = 3;
-  cfg.num_attackers = 1;
-  cfg.fabric.filter_mode = FilterMode::kIf;
-  cfg.duration = 300 * time_literals::kMicrosecond;
-  cfg.warmup = 50 * time_literals::kMicrosecond;
-  workload::Scenario scenario(cfg);
-  const auto r = scenario.run();
-  EXPECT_GT(r.delivered, 50u);
   EXPECT_LE(scenario.fabric().max_link_utilization(), 1.0);
 }
 
