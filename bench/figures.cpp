@@ -576,7 +576,7 @@ RcRun rc_run(bool with_auth, std::size_t message_bytes) {
   RcRun result;
   std::uint64_t bytes_received = 0;
   ca1.set_message_handler(
-      [&](std::vector<std::uint8_t> msg, const transport::QueuePair&) {
+      [&](std::span<const std::uint8_t> msg, const transport::QueuePair&) {
         bytes_received += msg.size();
         ++result.messages;
       });

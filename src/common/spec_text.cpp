@@ -26,6 +26,19 @@ bool cut(std::string_view text, char sep, std::string_view& head,
   return true;
 }
 
+bool keys_distinct(const std::vector<std::string_view>& tokens) {
+  const auto key_of = [](std::string_view token) {
+    std::string_view key, value;
+    return cut(token, '=', key, value) ? key : std::string_view();
+  };
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    for (std::size_t j = i + 1; j < tokens.size(); ++j) {
+      if (key_of(tokens[i]) == key_of(tokens[j])) return false;
+    }
+  }
+  return true;
+}
+
 bool parse_double(std::string_view text, double& out) {
   double value = 0;
   const auto [ptr, ec] =

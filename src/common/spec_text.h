@@ -27,6 +27,10 @@ std::vector<std::string_view> split(std::string_view text, char sep);
 bool cut(std::string_view text, char sep, std::string_view& head,
          std::string_view& tail);
 
+/// Whether no two `tokens` share a key: the text before a token's first
+/// '=', or "" for a token without one (so two bare tokens collide too).
+bool keys_distinct(const std::vector<std::string_view>& tokens);
+
 /// A decimal integer that fills `text` and fits Int.
 template <class Int>
 bool parse_int(std::string_view text, Int& out) {

@@ -10,6 +10,7 @@ namespace ibsec::fabric {
 namespace {
 
 using spec_text::cut;
+using spec_text::keys_distinct;
 using spec_text::parse_int;
 using spec_text::split;
 
@@ -54,7 +55,11 @@ std::optional<TopologySpec> TopologySpec::parse(std::string_view text) {
   } else {
     return std::nullopt;
   }
-  for (std::string_view token : split(params, ',')) {
+  // A key, or the mesh's WxH token, given twice is an error: last-one-wins
+  // would silently build another fabric than the one the spec names.
+  const std::vector<std::string_view> tokens = split(params, ',');
+  if (!keys_distinct(tokens)) return std::nullopt;
+  for (std::string_view token : tokens) {
     if (token.empty()) return std::nullopt;
     std::string_view key, value;
     if (!cut(token, '=', key, value)) {

@@ -42,7 +42,8 @@ class Simulator {
   const obs::AuditLog& audit() const { return audit_; }
 
   /// This simulation's parked packets (see sim/packet_pool.h): every packet
-  /// queued at an output port, in flight on a link or crossing a switch.
+  /// queued at an output port, in flight on a link or crossing a switch,
+  /// and the spare buffers new packets take their payloads from.
   PacketPool& packets() { return packets_; }
   const PacketPool& packets() const { return packets_; }
 
@@ -130,9 +131,11 @@ class Simulator {
 
   /// Runs until the queue is empty. The clock ends where it would had every
   /// reserved place been an event: at the latest of them, if that is later.
+  /// A drained fabric needs no spare payload buffers, so they are freed.
   void run() {
     while (!queue_.empty()) step();
     settle(now_ < horizon_ ? horizon_ : now_);
+    packets_.trim();
   }
 
   std::uint64_t events_processed() const { return events_processed_; }

@@ -204,17 +204,22 @@ bool ChannelAdapter::post_message(ib::Qpn local_qp,
     post_request(*qp, ib::OpCode::kRcSendOnly, tclass, std::move(message));
     return true;
   }
+  sim::PacketPool& pool = fabric_.simulator().packets();
   const std::size_t segments = (message.size() + mtu - 1) / mtu;
   for (std::size_t seg = 0; seg < segments; ++seg) {
     const auto begin = message.begin() + static_cast<long>(seg * mtu);
     const auto end =
         seg + 1 == segments ? message.end() : begin + static_cast<long>(mtu);
+    std::vector<std::uint8_t> segment =
+        pool.buffer(static_cast<std::size_t>(end - begin));
+    segment.assign(begin, end);
     post_request(*qp,
                  seg == 0               ? ib::OpCode::kRcSendFirst
                  : seg + 1 == segments ? ib::OpCode::kRcSendLast
                                        : ib::OpCode::kRcSendMiddle,
-                 tclass, std::vector<std::uint8_t>(begin, end));
+                 tclass, std::move(segment));
   }
+  pool.recycle(std::move(message));
   return true;
 }
 
@@ -262,7 +267,8 @@ void ChannelAdapter::send_mad(int dst_node, const Mad& mad) {
   pkt.bth.opcode = ib::OpCode::kUdSendOnly;
   pkt.bth.dest_qp = ib::kQp0SubnetManagement;
   pkt.deth = ib::Deth{0, ib::kQp0SubnetManagement};
-  pkt.payload = mad.serialize();
+  pkt.payload = fabric_.simulator().packets().buffer(Mad::kWireSize);
+  mad.serialize(pkt.payload);
   pkt.bth.resv8a = 0;
   pkt.finalize();
   fabric_.hca(node_).send(std::move(pkt));
@@ -428,10 +434,10 @@ void ChannelAdapter::handle_data_packet(ib::Packet&& pkt) {
       pkt.bth.opcode == ib::OpCode::kUdSendOnly) {
     ++counters_.messages_delivered;
     if (message_handler_) message_handler_(pkt.payload, *qp);
-  } else if (std::vector<std::uint8_t>* message =
+  } else if (const std::vector<std::uint8_t>* message =
                  qp->responder.reassemble(pkt)) {
     ++counters_.messages_delivered;
-    if (message_handler_) message_handler_(std::move(*message), *qp);
+    if (message_handler_) message_handler_(*message, *qp);
   }
   qp->responder.acknowledge(pkt);
 }
@@ -465,9 +471,11 @@ void ChannelAdapter::serve_rdma_read(QueuePair* qp, const ib::Packet& pkt,
   }
   const auto begin = memory_.at(pkt.reth->rkey).begin() +
                      static_cast<long>(pkt.reth->va - region->va_base);
+  std::vector<std::uint8_t> data =
+      fabric_.simulator().packets().buffer(pkt.reth->dma_len);
+  data.assign(begin, begin + static_cast<long>(pkt.reth->dma_len));
   qp->responder.reply(ib::OpCode::kRcRdmaReadResponse, pkt.bth.psn,
-                      ib::Aeth{kAethAck, pkt.bth.psn},
-                      {begin, begin + static_cast<long>(pkt.reth->dma_len)});
+                      ib::Aeth{kAethAck, pkt.bth.psn}, std::move(data));
 }
 
 std::uint64_t ChannelAdapter::qkey_drops(ib::Qpn qpn) const {

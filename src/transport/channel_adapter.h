@@ -20,6 +20,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/annotations.h"
@@ -114,10 +115,12 @@ class ChannelAdapter : private RcWire {
   /// messages must fit one MTU (IBA semantics) — use post_send.
   bool post_message(ib::Qpn local_qp, std::vector<std::uint8_t> message,
                     ib::PacketMeta::TrafficClass tclass);
-  using MessageHandler = std::function<void(std::vector<std::uint8_t> message,
-                                            const QueuePair& qp)>;
+  using MessageHandler = std::function<void(
+      std::span<const std::uint8_t> message, const QueuePair& qp)>;
   /// Fires once per complete message: single-packet SENDs and reassembled
-  /// multi-packet ones alike.
+  /// multi-packet ones alike. The bytes are valid only during the call: a
+  /// SEND-only message is the packet's payload, a reassembled one the
+  /// responder's buffer, which the next message reuses.
   void set_message_handler(MessageHandler handler) {
     message_handler_ = std::move(handler);
   }

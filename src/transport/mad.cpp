@@ -1,5 +1,7 @@
 #include "transport/mad.h"
 
+#include "common/check.h"
+
 namespace ibsec::transport {
 namespace {
 
@@ -45,8 +47,12 @@ constexpr std::size_t kOffBlob = 36;
 
 }  // namespace
 
-std::vector<std::uint8_t> Mad::serialize() const {
-  std::vector<std::uint8_t> out(kWireSize, 0);
+void Mad::serialize(std::vector<std::uint8_t>& out) const {
+  // parse() rejects a longer blob, and past 220 bytes it would overrun the
+  // payload: a caller's key material must fit the field.
+  IBSEC_CHECK(blob.size() <= kMaxBlobSize)
+      << "MAD blob of " << blob.size() << " bytes exceeds " << kMaxBlobSize;
+  out.assign(kWireSize, 0);
   out[kOffType] = static_cast<std::uint8_t>(type);
   put16(out, kOffSrcNode, src_node);
   put16(out, kOffPkey, pkey);
@@ -60,7 +66,6 @@ std::vector<std::uint8_t> Mad::serialize() const {
   put16(out, kOffBlobLen, static_cast<std::uint16_t>(blob.size()));
   std::copy(blob.begin(), blob.end(),
             out.begin() + static_cast<long>(kOffBlob));
-  return out;
 }
 
 std::optional<Mad> Mad::parse(std::span<const std::uint8_t> payload) {

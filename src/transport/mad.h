@@ -53,8 +53,9 @@ struct Mad {
   crypto::AuthAlgorithm auth_alg = crypto::AuthAlgorithm::kNone;
   std::vector<std::uint8_t> blob;    // RSA-wrapped key material
 
-  /// Fixed 256-byte payload (zero padded).
-  std::vector<std::uint8_t> serialize() const;
+  /// Writes the fixed 256-byte payload (zero padded) into `out`, which
+  /// keeps its capacity when that suffices. The blob must fit kMaxBlobSize.
+  void serialize(std::vector<std::uint8_t>& out) const;
   static std::optional<Mad> parse(std::span<const std::uint8_t> payload);
 };
 

@@ -61,7 +61,7 @@ IBSEC_HOT void RcRequester::transmit(ib::Packet&& pkt) {
       << " outstanding";
   const bool was_empty = window_.empty();
   const ib::Psn psn = pkt.bth.psn;
-  ib::Packet copy = pkt;
+  ib::Packet copy = rc_.sim.packets().copy(pkt);
   const bool inserted = window_.emplace(psn, std::move(pkt)).second;
   IBSEC_CHECK(inserted) << "PSN " << psn << " already in RC window of QP "
                         << qp_.qpn;
@@ -97,8 +97,7 @@ void RcRequester::retransmit(ib::Psn from_psn) {
     rc_.obs.retransmits->inc();
     rc_.trace(pkt, obs::TraceEventType::kRcRetransmit, "",
               static_cast<std::int64_t>(psn));
-    ib::Packet copy = pkt;
-    rc_.wire.sign_and_send(std::move(copy));
+    rc_.wire.sign_and_send(rc_.sim.packets().copy(pkt));
   }
 }
 
@@ -203,6 +202,7 @@ IBSEC_HOT std::size_t RcRequester::ack_through(ib::Psn psn, bool inclusive) {
     }
     rc_.trace(it->second, obs::TraceEventType::kRcComplete, "",
               static_cast<std::int64_t>(it->first));
+    rc_.sim.packets().recycle(std::move(it->second.payload));
     it = window_.erase(it);
     ++retired;
   }
@@ -334,7 +334,8 @@ void RcResponder::reply(ib::OpCode op, ib::Psn psn, ib::Aeth aeth,
   rc_.wire.sign_and_send(std::move(pkt));
 }
 
-std::vector<std::uint8_t>* RcResponder::reassemble(const ib::Packet& pkt) {
+const std::vector<std::uint8_t>* RcResponder::reassemble(
+    const ib::Packet& pkt) {
   // Segments reassemble in arrival order: the protocol admits them in PSN
   // order, and the lossless fire-and-forget fabric keeps per-VL FIFO.
   if (pkt.bth.opcode == ib::OpCode::kRcSendFirst) {

@@ -237,9 +237,9 @@ class RcResponder {
   /// After the CA executed or delivered `pkt`: the protocol's coalesced
   /// cumulative ACK (forced by ack_req), else the reply to ack_req.
   void acknowledge(const ib::Packet& pkt);
-  /// Feeds a SEND First/Middle/Last; returns the message a Last completes
-  /// (the caller may move from it; the buffer is reused otherwise).
-  std::vector<std::uint8_t>* reassemble(const ib::Packet& pkt);
+  /// Feeds a SEND First/Middle/Last; returns the message a Last completes,
+  /// valid until the next First (the buffer keeps its capacity).
+  const std::vector<std::uint8_t>* reassemble(const ib::Packet& pkt);
   /// Every reply to the bound peer: ACK, NAK, ack_req reply, READ response.
   void reply(ib::OpCode op, ib::Psn psn, ib::Aeth aeth,
              std::vector<std::uint8_t> payload = {});

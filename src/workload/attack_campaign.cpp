@@ -258,6 +258,7 @@ class ScanCampaign final : public AttackCampaign {
     const auto draw = static_cast<ib::QKeyValue>(rng_.uniform(spec_.keyspace));
     pkt.deth = ib::Deth{true_qkey_ ^ draw,
                         ctx_.ud_qp_of_node[static_cast<std::size_t>(attacker_)]};
+    pkt.payload = simulator().packets().buffer(64);
     pkt.payload.assign(64, 0xA7);
     pkt.meta.created_at = simulator().now();
     pkt.meta.src_node = static_cast<std::uint32_t>(attacker_);
@@ -436,7 +437,8 @@ class ReplayCampaign final : public AttackCampaign {
   void tick() {
     if (stopped_ || attempts() >= spec_.count) return;
     if (!captured_.empty()) {
-      ib::Packet clone = captured_[next_ % captured_.size()];
+      ib::Packet clone =
+          simulator().packets().copy(captured_[next_ % captured_.size()]);
       ++next_;
       // Fresh simulation-side identity; the wire bytes (and therefore the
       // MAC tag in the ICRC field) stay exactly as captured — do NOT
@@ -671,7 +673,9 @@ class SideChannelCampaign final : public AttackCampaign {
     pkt.bth.psn = static_cast<ib::Psn>(injected_ & ib::kPsnMask);
     ++injected_;
     pkt.deth = ib::Deth{deliverable ? qkey : qkey ^ 0x5A5A5A5Au, 2};
-    pkt.payload.assign(fabric.config().mtu_bytes, fill);
+    const std::size_t mtu = fabric.config().mtu_bytes;
+    pkt.payload = simulator().packets().buffer(mtu);
+    pkt.payload.assign(mtu, fill);
     pkt.meta.created_at = simulator().now();
     pkt.meta.src_node = static_cast<std::uint32_t>(src);
     pkt.meta.dst_node = static_cast<std::uint32_t>(dst);

@@ -83,7 +83,9 @@ void Attacker::flood_tick() {
     pkt.bth.dest_qp = static_cast<ib::Qpn>(rng_.uniform(64));
     pkt.bth.psn = static_cast<ib::Psn>(injected_ & ib::kPsnMask);
     pkt.deth = ib::Deth{static_cast<ib::QKeyValue>(rng_.next_u32()), 2};
-    pkt.payload.assign(fabric.config().mtu_bytes, 0xDD);
+    const std::size_t mtu = fabric.config().mtu_bytes;
+    pkt.payload = fabric.simulator().packets().buffer(mtu);
+    pkt.payload.assign(mtu, 0xDD);
     pkt.meta.created_at = fabric.simulator().now();
     pkt.meta.src_node = static_cast<std::uint32_t>(self);
     pkt.meta.dst_node = static_cast<std::uint32_t>(dst);

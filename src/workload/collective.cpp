@@ -59,7 +59,10 @@ std::optional<WorkloadSpec> WorkloadSpec::parse(std::string_view text) {
     return std::nullopt;
   }
 
-  for (std::string_view token : spec_text::split(params, ',')) {
+  // A key given twice is an error, not last-one-wins.
+  const std::vector<std::string_view> tokens = spec_text::split(params, ',');
+  if (!spec_text::keys_distinct(tokens)) return std::nullopt;
+  for (std::string_view token : tokens) {
     std::string_view key, value;
     if (!spec_text::cut(token, '=', key, value)) return std::nullopt;
     int number = 0;
@@ -246,7 +249,10 @@ int CollectiveWorkload::rank_of_node(int node) const {
 
 std::vector<std::uint8_t> CollectiveWorkload::make_payload(
     const CollectiveMessage& msg) const {
-  std::vector<std::uint8_t> payload(std::max(spec_.bytes, kHeaderBytes));
+  const std::size_t size = std::max(spec_.bytes, kHeaderBytes);
+  std::vector<std::uint8_t> payload =
+      cas_.front()->fabric().simulator().packets().buffer(size);
+  payload.resize(size);
   put_u32(payload, 0, msg.step);
   put_u32(payload, 4, static_cast<std::uint32_t>(msg.src));
   put_u32(payload, 8, static_cast<std::uint32_t>(msg.dst));

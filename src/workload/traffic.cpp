@@ -3,10 +3,14 @@
 namespace ibsec::workload {
 namespace {
 
-std::vector<std::uint8_t> make_payload(std::size_t size,
+std::vector<std::uint8_t> make_payload(transport::ChannelAdapter& ca,
+                                       std::size_t size,
                                        std::uint64_t counter) {
-  // Deterministic low-cost payload: a counter header over a fixed pattern.
-  std::vector<std::uint8_t> payload(size, 0x5A);
+  // Deterministic low-cost payload: a counter header over a fixed pattern,
+  // in a buffer from the simulator's packet pool.
+  std::vector<std::uint8_t> payload =
+      ca.fabric().simulator().packets().buffer(size);
+  payload.assign(size, 0x5A);
   for (std::size_t i = 0; i < 8 && i < size; ++i) {
     payload[i] = static_cast<std::uint8_t>(counter >> (8 * i));
   }
@@ -39,7 +43,8 @@ TrafficSource::TrafficSource(transport::ChannelAdapter& ca, ib::Qpn src_qp,
             if (pending != pending_.end()) {
               for (SimTime created_at : pending->second) {
                 ++posted_;
-                ca_.post_send(src_qp_, make_payload(payload_size(), posted_),
+                ca_.post_send(src_qp_,
+                              make_payload(ca_, payload_size(), posted_),
                               traffic_class(), peer.node, peer.qp, peer.qkey,
                               created_at);
               }
@@ -91,7 +96,7 @@ void TrafficSource::emit_to(Peer& peer, SimTime created_at) {
   }
   const auto post = [this, &peer, created_at] {
     ++posted_;
-    ca_.post_send(src_qp_, make_payload(payload_size(), posted_),
+    ca_.post_send(src_qp_, make_payload(ca_, payload_size(), posted_),
                   traffic_class(), peer.node, peer.qp, peer.qkey, created_at);
   };
   if (per_message_overhead_ > 0) {
@@ -168,7 +173,7 @@ void RcMessageSource::tick() {
   // Sizes uniform in (0, 2*mean]: half the messages need segmentation when
   // the mean sits above the MTU.
   const std::size_t size = 1 + rng_.uniform(2 * mean_bytes_);
-  if (ca_.post_message(qp_, make_payload(size, posted_ + 1),
+  if (ca_.post_message(qp_, make_payload(ca_, size, posted_ + 1),
                        ib::PacketMeta::TrafficClass::kBestEffort)) {
     ++posted_;
   } else {

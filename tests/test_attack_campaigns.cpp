@@ -645,8 +645,9 @@ struct RcAdversarialLoad : public ::testing::Test {
     src_qpn = a.qpn;
     dst_qpn = b.qpn;
     cas[1]->set_message_handler(
-        [this](std::vector<std::uint8_t> payload, const transport::QueuePair&) {
-          received.push_back(std::move(payload));
+        [this](std::span<const std::uint8_t> payload,
+               const transport::QueuePair&) {
+          received.emplace_back(payload.begin(), payload.end());
         });
   }
 

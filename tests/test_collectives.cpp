@@ -156,7 +156,9 @@ TEST(CollectiveSchedule, SpecParseRoundTrips) {
             "alltoall:bytes=256,rounds=1");
   for (const char* text :
        {"allgather", "allreduce:algo=tree", "alltoall:bytes=0",
-        "incast:target=-1", "alltoall:junk"}) {
+        "incast:target=-1", "alltoall:junk",
+        // A key given twice is rejected, not read last-one-wins.
+        "alltoall:bytes=64,bytes=128", "allreduce:algo=ring,algo=rd"}) {
     EXPECT_FALSE(WorkloadSpec::parse(text).has_value()) << text;
   }
 }

@@ -97,7 +97,9 @@ TEST_P(MadFuzz, RandomBuffersNeverCrash) {
     if (parsed.has_value()) {
       EXPECT_LE(parsed->blob.size(), transport::Mad::kMaxBlobSize);
       // Round-trip through serialize/parse preserves every field.
-      const auto reparsed = transport::Mad::parse(parsed->serialize());
+      std::vector<std::uint8_t> wire;
+      parsed->serialize(wire);
+      const auto reparsed = transport::Mad::parse(wire);
       ASSERT_TRUE(reparsed.has_value());
       EXPECT_EQ(reparsed->type, parsed->type);
       EXPECT_EQ(reparsed->blob, parsed->blob);
@@ -161,7 +163,7 @@ struct RcControlFuzz : public ::testing::Test {
 TEST_F(RcControlFuzz, ForgedAckWithFuturePsnCannotSpoofCompleteWindow) {
   int delivered = 0;
   cas[1]->set_message_handler(
-      [&](std::vector<std::uint8_t>, const transport::QueuePair&) {
+      [&](std::span<const std::uint8_t>, const transport::QueuePair&) {
         ++delivered;
       });
   ASSERT_TRUE(cas[0]->post_message(

@@ -4,16 +4,18 @@
 //      inline and relocates them on move; a capture past the declared
 //      capacity fails to compile.
 //   2. The Simulator's PacketPool recycles the slots that park packets, in
-//      chunks of 64.
+//      chunks of 64, and the payload buffers, by power-of-two size class
+//      with at most 64 spares a class.
 //   3. The streaming serialization / CRC / MAC paths produce byte- and
 //      tag-identical results to materializing the covered bytes (the wire
 //      image from serialize(), masked for the ICRC) and hashing them —
 //      property-tested over randomized packets with a seeded Rng, so the
 //      equivalence holds across header combinations and payload sizes, not
 //      just the golden packets other suites pin.
-//   4. The event-scheduling steady state, a congested output port, the
-//      packet CRCs, DRBG draws and the AES-based MAC tags perform zero heap
-//      allocations, measured with the global allocation probe.
+//   4. The event-scheduling steady state, a congested output port, a UD
+//      post-to-delivery loop between two CAs, the packet CRCs, DRBG draws
+//      and the AES-based MAC tags perform zero heap allocations, measured
+//      with the global allocation probe.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,6 +42,7 @@
 #include "sim/packet_pool.h"
 #include "sim/simulator.h"
 #include "support/wire_parse.h"
+#include "transport/channel_adapter.h"
 
 namespace ibsec {
 namespace {
@@ -221,6 +224,88 @@ TEST(PacketPool, GrowsInChunksOf64AndCountsSlotsInUse) {
   for (std::size_t i = 0; i < 10; ++i) pool.release(slots[i]);
   EXPECT_EQ(pool.in_use(), 55u);
   EXPECT_EQ(pool.capacity(), 65u);
+}
+
+TEST(PacketPool, BuffersRoundUpToPowerOfTwoClasses) {
+  sim::PacketPool pool;
+  for (const auto& [bytes, capacity] :
+       {std::pair<std::size_t, std::size_t>{1, 64}, {64, 64}, {65, 128},
+        {256, 256}, {1000, 1024}, {4096, 4096}}) {
+    const std::vector<std::uint8_t> buf = pool.buffer(bytes);
+    EXPECT_TRUE(buf.empty()) << bytes;
+    EXPECT_EQ(buf.capacity(), capacity) << bytes;
+  }
+  EXPECT_EQ(pool.buffer(0).capacity(), 0u);
+  // Above the largest class a buffer is sized to its request and never
+  // kept: a second request allocates again.
+  std::vector<std::uint8_t> big = pool.buffer(4097);
+  EXPECT_GE(big.capacity(), 4097u);
+  pool.recycle(std::move(big));
+  EXPECT_EQ(pool.spare_buffers(), 0u);
+  const std::uint64_t before = alloc_count();
+  const std::vector<std::uint8_t> again = pool.buffer(4097);
+  EXPECT_EQ(alloc_count() - before, 1u);
+}
+
+TEST(PacketPool, RecycleKeepsOnlyClassSizesAndAChunkPerClass) {
+  sim::PacketPool pool;
+  for (const std::size_t capacity : {32, 100, 1000, 8192}) {
+    std::vector<std::uint8_t> buf;
+    buf.reserve(capacity);
+    pool.recycle(std::move(buf));
+  }
+  EXPECT_EQ(pool.spare_buffers(), 0u) << "not a class size: freed";
+
+  std::vector<std::vector<std::uint8_t>> held;
+  for (int i = 0; i < 70; ++i) held.push_back(pool.buffer(256));
+  for (int i = 0; i < 3; ++i) held.push_back(pool.buffer(2048));
+  for (auto& buf : held) pool.recycle(std::move(buf));
+  EXPECT_EQ(pool.spare_buffers(), 64u + 3u)
+      << "64 spares of the 256 B class, all three of the 2 KiB class";
+}
+
+TEST(PacketPool, ReleaseHandsThePayloadStorageBack) {
+  sim::PacketPool pool;
+  ib::Packet pkt = make_ud_packet(0);
+  pkt.payload = pool.buffer(200);
+  pkt.payload.assign(200, 0x42);
+  const std::uint8_t* storage = pkt.payload.data();
+  pool.release(pool.acquire(std::move(pkt)));
+  EXPECT_EQ(pool.spare_buffers(), 1u);
+
+  const std::uint64_t before = alloc_count();
+  const std::vector<std::uint8_t> reused = pool.buffer(256);
+  EXPECT_EQ(alloc_count() - before, 0u);
+  EXPECT_EQ(reused.data(), storage);
+  EXPECT_TRUE(reused.empty());
+  EXPECT_EQ(pool.spare_buffers(), 0u);
+}
+
+TEST(PacketPool, CopyTakesItsPayloadFromThePool) {
+  sim::PacketPool pool;
+  const ib::Packet original = make_ud_packet(300);
+  std::vector<std::uint8_t> spare = pool.buffer(300);
+  const std::uint8_t* storage = spare.data();
+  pool.recycle(std::move(spare));
+
+  const std::uint64_t before = alloc_count();
+  const ib::Packet copy = pool.copy(original);
+  EXPECT_EQ(alloc_count() - before, 0u);
+  EXPECT_EQ(copy.payload.data(), storage);
+  EXPECT_EQ(copy.serialize(), original.serialize());
+}
+
+TEST(PacketPool, DrainedRunLeavesNoSpares) {
+  sim::Simulator sim;
+  const auto retire_one = [&sim] {
+    sim.packets().recycle(sim.packets().buffer(512));
+  };
+  sim.after(10, retire_one);
+  sim.run_until(20);
+  EXPECT_EQ(sim.packets().spare_buffers(), 1u) << "run_until keeps spares";
+  sim.after(10, retire_one);
+  sim.run();
+  EXPECT_EQ(sim.packets().spare_buffers(), 0u);
 }
 
 TEST(RingQueue, FifoOrderAcrossWraparound) {
@@ -551,6 +636,55 @@ TEST(ZeroAllocSteadyState, CongestedPortAllocatesNothing) {
   EXPECT_EQ(sim.packets().in_use(), 0u);
   EXPECT_EQ(steady_allocs, 0u)
       << "6 rounds of " << kDepth << " packets through a congested port";
+}
+
+// UD SENDs from one CA to another across a two-switch fabric, one in flight
+// at a time: once the pools, queues and lazily-made counters have grown, a
+// post, its crossing and its delivery allocate nothing. The payload comes
+// from the packet pool and goes back to it when the receiving CA retires
+// the packet.
+TEST(ZeroAllocSteadyState, UdPostToDeliveryAllocatesNothing) {
+  fabric::FabricConfig cfg;
+  cfg.mesh_width = 2;
+  cfg.mesh_height = 1;
+  fabric::Fabric fabric(cfg);
+  transport::PkiDirectory pki;
+  transport::ChannelAdapter src(fabric, 0, pki, /*key_seed=*/42,
+                                /*rsa_bits=*/256);
+  transport::ChannelAdapter dst(fabric, 1, pki, /*key_seed=*/42,
+                                /*rsa_bits=*/256);
+  const auto& src_qp =
+      src.create_qp(transport::ServiceType::kUnreliableDatagram,
+                    ib::kDefaultPKey);
+  const auto& dst_qp =
+      dst.create_qp(transport::ServiceType::kUnreliableDatagram,
+                    ib::kDefaultPKey);
+  std::uint64_t delivered = 0;
+  dst.set_message_handler(
+      [&delivered](std::span<const std::uint8_t> message,
+                   const transport::QueuePair&) {
+        if (message.size() == 1024 && message[0] == 0x5A) ++delivered;
+      });
+  sim::Simulator& sim = fabric.simulator();
+  const auto post_and_deliver = [&](int packets) {
+    for (int i = 0; i < packets; ++i) {
+      std::vector<std::uint8_t> payload = sim.packets().buffer(1024);
+      payload.assign(1024, 0x5A);
+      EXPECT_TRUE(src.post_send(src_qp.qpn, std::move(payload),
+                                ib::PacketMeta::TrafficClass::kBestEffort,
+                                dst.node(), dst_qp.qpn, dst_qp.qkey));
+      sim.run_until(sim.now() + 20 * time_literals::kMicrosecond);
+    }
+  };
+  post_and_deliver(50);  // warm-up
+  ASSERT_EQ(delivered, 50u);
+
+  const std::uint64_t before = alloc_count();
+  post_and_deliver(1000);
+  const std::uint64_t allocs = alloc_count() - before;
+  EXPECT_EQ(delivered, 1050u);
+  EXPECT_EQ(sim.packets().in_use(), 0u);
+  EXPECT_EQ(allocs, 0u) << "1000 UD posts, crossings and deliveries";
 }
 
 // Computing and checking both CRCs is heap-free, on a packet whose pieces

@@ -10,12 +10,18 @@
 // links carry. The link packets must not move; the events move only with a
 // change to how the simulator schedules work, and a change that puts back
 // an event per credit return fails here by name.
+//
+// The allocation budget holds the run's heap traffic below one allocation
+// per ten link packets on the two packet-bound workloads: a packet's bytes
+// come from the Simulator's packet pool, so only growth and per-message
+// state (the RC window's map nodes, exports) reach the heap.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <ostream>
 #include <string>
 
+#include "common/alloc_probe.h"
 #include "common/hex.h"
 #include "crypto/sha256.h"
 #include "workloads.h"
@@ -90,5 +96,30 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Golden>& info) {
       return std::string(info.param.workload);
     });
+
+class LedgerAllocBudget : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(LedgerAllocBudget, RunAllocatesUnderOnePerTenLinkPackets) {
+  const char* workload = GetParam();
+  const auto w = ledger::make_workload(workload, 2005, /*quick=*/true);
+  ASSERT_TRUE(w.has_value()) << workload;
+  Scenario scenario(w->config);
+  scenario.fabric().simulator().run();
+  const std::uint64_t before = ibsec::alloc_count();
+  const ScenarioResult r = scenario.run();
+  const std::uint64_t allocs = ibsec::alloc_count() - before;
+  const auto link_packets =
+      static_cast<std::uint64_t>(r.obs.sum_matching("link.*.packets"));
+  ASSERT_GT(link_packets, 0u) << workload;
+  EXPECT_LT(allocs * 10, link_packets)
+      << workload << ": scenario.run() made " << allocs
+      << " allocations for " << link_packets << " link packets";
+}
+
+INSTANTIATE_TEST_SUITE_P(Workloads, LedgerAllocBudget,
+                         ::testing::Values("mesh_dos", "tenant2048"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 }  // namespace

@@ -48,8 +48,8 @@ struct MessageFixture : public ::testing::Test {
 TEST_F(MessageFixture, SmallMessageSinglePacket) {
   std::vector<std::uint8_t> received;
   cas[1]->set_message_handler(
-      [&](std::vector<std::uint8_t> msg, const QueuePair&) {
-        received = std::move(msg);
+      [&](std::span<const std::uint8_t> msg, const QueuePair&) {
+        received.assign(msg.begin(), msg.end());
       });
   const auto msg = random_message(500);
   ASSERT_TRUE(cas[0]->post_message(src_qpn, msg,
@@ -67,8 +67,8 @@ TEST_P(MessageSizeSweep, SegmentsAndReassembles) {
   std::vector<std::uint8_t> received;
   int messages = 0;
   cas[1]->set_message_handler(
-      [&](std::vector<std::uint8_t> msg, const QueuePair&) {
-        received = std::move(msg);
+      [&](std::span<const std::uint8_t> msg, const QueuePair&) {
+        received.assign(msg.begin(), msg.end());
         ++messages;
       });
   const auto msg = random_message(GetParam());
@@ -90,8 +90,8 @@ INSTANTIATE_TEST_SUITE_P(Sizes, MessageSizeSweep,
 TEST_F(MessageFixture, BackToBackMessagesDoNotInterleave) {
   std::vector<std::vector<std::uint8_t>> messages;
   cas[1]->set_message_handler(
-      [&](std::vector<std::uint8_t> msg, const QueuePair&) {
-        messages.push_back(std::move(msg));
+      [&](std::span<const std::uint8_t> msg, const QueuePair&) {
+        messages.emplace_back(msg.begin(), msg.end());
       });
   const auto m1 = random_message(3000, 1);
   const auto m2 = random_message(5000, 2);
@@ -121,8 +121,8 @@ TEST_F(MessageFixture, EverySegmentIsIndividuallyAuthenticated) {
 
   std::vector<std::uint8_t> received;
   cas[1]->set_message_handler(
-      [&](std::vector<std::uint8_t> msg, const QueuePair&) {
-        received = std::move(msg);
+      [&](std::span<const std::uint8_t> msg, const QueuePair&) {
+        received.assign(msg.begin(), msg.end());
       });
   const auto msg = random_message(4096);
   cas[0]->post_message(src_qpn, msg,
@@ -180,8 +180,8 @@ TEST_F(MessageFixture, FirstTwiceAbandonsPartialMessage) {
 
   std::vector<std::uint8_t> received;
   cas[1]->set_message_handler(
-      [&](std::vector<std::uint8_t> msg, const QueuePair&) {
-        received = std::move(msg);
+      [&](std::span<const std::uint8_t> msg, const QueuePair&) {
+        received.assign(msg.begin(), msg.end());
       });
   run();
   EXPECT_EQ(cas[1]->counters().reassembly_errors, 1u);

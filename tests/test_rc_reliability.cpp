@@ -96,8 +96,8 @@ TEST_P(RcLossSweep, ExactlyOnceInOrderUnderSeededLoss) {
 
   std::vector<std::vector<std::uint8_t>> received;
   cas[1]->set_message_handler(
-      [&](std::vector<std::uint8_t> msg, const QueuePair&) {
-        received.push_back(std::move(msg));
+      [&](std::span<const std::uint8_t> msg, const QueuePair&) {
+        received.emplace_back(msg.begin(), msg.end());
       });
 
   // Sizes span the MTU boundary: single packets, exact fits, multi-segment.
@@ -157,7 +157,7 @@ TEST_F(RcFixture, RetryExhaustionSurfacesErrorNotSilence) {
   });
   int delivered = 0;
   cas[1]->set_message_handler(
-      [&](std::vector<std::uint8_t>, const QueuePair&) { ++delivered; });
+      [&](std::span<const std::uint8_t>, const QueuePair&) { ++delivered; });
 
   ASSERT_TRUE(cas[0]->post_message(src_qpn, numbered_message(0, 2 * mtu()),
                                    ib::PacketMeta::TrafficClass::kBestEffort));
@@ -292,7 +292,7 @@ TEST_F(RcFixture, WindowBackpressureQueuesAndDrains) {
   build("", rc);
   int delivered = 0;
   cas[1]->set_message_handler(
-      [&](std::vector<std::uint8_t>, const QueuePair&) { ++delivered; });
+      [&](std::span<const std::uint8_t>, const QueuePair&) { ++delivered; });
   // 40 single-packet messages against a 4-deep window: posts must queue at
   // the sender and drain as ACKs arrive, preserving order.
   for (std::uint64_t seq = 0; seq < 40; ++seq) {
@@ -314,7 +314,7 @@ TEST_F(RcFixture, OutOfOrderArrivalNaksOncePerGap) {
   // receiver must drop it (no delivery) and NAK with its expected PSN.
   int delivered = 0;
   cas[0]->set_message_handler(
-      [&](std::vector<std::uint8_t>, const QueuePair&) { ++delivered; });
+      [&](std::span<const std::uint8_t>, const QueuePair&) { ++delivered; });
   for (int dup = 0; dup < 3; ++dup) {
     ib::Packet pkt;
     pkt.lrh.vl = fabric::kBestEffortVl;
@@ -348,8 +348,8 @@ TEST_F(RcFixture, FlapScheduleDropsThenRecovers) {
   build("flap=sw0.out1:5us-120us;flap=sw1.out2:5us-120us");
   std::vector<std::vector<std::uint8_t>> received;
   cas[1]->set_message_handler(
-      [&](std::vector<std::uint8_t> msg, const QueuePair&) {
-        received.push_back(std::move(msg));
+      [&](std::span<const std::uint8_t> msg, const QueuePair&) {
+        received.emplace_back(msg.begin(), msg.end());
       });
   std::vector<std::vector<std::uint8_t>> posted;
   for (std::uint64_t seq = 0; seq < 6; ++seq) {
@@ -376,7 +376,7 @@ TEST_F(RcFixture, DisabledKeepsLegacySemantics) {
   build("", rc);
   int delivered = 0;
   cas[1]->set_message_handler(
-      [&](std::vector<std::uint8_t>, const QueuePair&) { ++delivered; });
+      [&](std::span<const std::uint8_t>, const QueuePair&) { ++delivered; });
   for (std::uint64_t seq = 0; seq < 5; ++seq) {
     ASSERT_TRUE(cas[0]->post_message(src_qpn, numbered_message(seq, 3 * mtu()),
                                      ib::PacketMeta::TrafficClass::kBestEffort));

@@ -373,6 +373,8 @@ TEST(TopologySpec, ParseRejectsMalformedSpecs) {
         "mesh:0x4", "mesh:4x", "mesh:k=4", "",
         // Retired spellings and a key the mesh's XY routes would ignore.
         "dragonfly:a=2,p=2,h=1,g=3", "fat-tree:k=4", "mesh:4x4,seed=3",
+        // A key or the mesh's WxH given twice (not last-one-wins).
+        "fattree:k=4,k=8", "mesh:4x4,2x2", "fattree:k=4,seed=1,seed=2",
         // More hosts than the 0xBFFF unicast LIDs (node + 1 in 16 bits);
         // int arithmetic would also overflow on each of these.
         "fattree:k=2000", "mesh:100000x100000"}) {

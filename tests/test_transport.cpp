@@ -424,7 +424,8 @@ TEST(Mad, SerializeParseRoundTrip) {
   mad.value = 0x55AA55AA;
   mad.auth_alg = crypto::AuthAlgorithm::kUmac32;
   mad.blob = {1, 2, 3, 4, 5};
-  const auto wire = mad.serialize();
+  std::vector<std::uint8_t> wire;
+  mad.serialize(wire);
   EXPECT_EQ(wire.size(), Mad::kWireSize);
   const auto parsed = Mad::parse(wire);
   ASSERT_TRUE(parsed.has_value());
@@ -447,10 +448,27 @@ TEST(Mad, ParseRejectsMalformed) {
   bad_type[0] = 99;
   EXPECT_FALSE(Mad::parse(bad_type).has_value());
   Mad mad;
-  auto wire = mad.serialize();
+  std::vector<std::uint8_t> wire;
+  mad.serialize(wire);
   wire[34] = 0xFF;  // blob length field -> oversized
   wire[35] = 0xFF;
   EXPECT_FALSE(Mad::parse(wire).has_value());
+}
+
+TEST(Mad, SerializeRefusesABlobPastItsField) {
+  Mad mad;
+  mad.blob.assign(Mad::kMaxBlobSize, 0xAB);
+  std::vector<std::uint8_t> wire;
+  mad.serialize(wire);
+  const auto parsed = Mad::parse(wire);
+  ASSERT_TRUE(parsed.has_value()) << "the largest blob round-trips";
+  EXPECT_EQ(parsed->blob, mad.blob);
+  // One byte more would not parse; past 220 bytes it would overrun the
+  // 256-byte payload (a 2048-bit RSA-wrapped secret is 256 bytes).
+  mad.blob.push_back(0xAB);
+  EXPECT_DEATH(mad.serialize(wire), "MAD blob of 201 bytes");
+  mad.blob.assign(256, 0xAB);
+  EXPECT_DEATH(mad.serialize(wire), "MAD blob of 256 bytes");
 }
 
 TEST_F(TransportFixture, SubnetManagerPartitionSetup) {
