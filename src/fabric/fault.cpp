@@ -7,6 +7,7 @@
 namespace ibsec::fabric {
 
 using spec_text::cut;
+using spec_text::keys_distinct;
 using spec_text::parse_int;
 using spec_text::parse_probability;
 using spec_text::parse_time_us;
@@ -14,17 +15,23 @@ using spec_text::split;
 
 std::optional<FaultCampaign> FaultCampaign::parse(std::string_view spec) {
   FaultCampaign campaign;
+  // seed=, drop= and corrupt= may appear once; the per-link and per-switch
+  // entries repeat.
+  std::vector<std::string_view> once;
   for (std::string_view entry : split(spec, ';')) {
     if (entry.empty()) continue;
     std::string_view key, value;
     if (!cut(entry, '=', key, value)) return std::nullopt;
     if (key == "seed") {
+      once.push_back(entry);
       if (!parse_int(value, campaign.seed)) return std::nullopt;
     } else if (key == "drop") {
+      once.push_back(entry);
       if (!parse_probability(value, campaign.default_profile.drop_rate)) {
         return std::nullopt;
       }
     } else if (key == "corrupt") {
+      once.push_back(entry);
       if (!parse_probability(value,
                              campaign.default_profile.corruption_rate)) {
         return std::nullopt;
@@ -41,7 +48,9 @@ std::optional<FaultCampaign> FaultCampaign::parse(std::string_view spec) {
           campaign.link_overrides
               .try_emplace(std::string(name), campaign.default_profile)
               .first->second;
-      for (std::string_view sub : split(subs, ',')) {
+      const std::vector<std::string_view> sub_entries = split(subs, ',');
+      if (!keys_distinct(sub_entries)) return std::nullopt;
+      for (std::string_view sub : sub_entries) {
         std::string_view sub_key, rate;
         if (!cut(sub, '=', sub_key, rate)) return std::nullopt;
         double* field = sub_key == "drop"      ? &profile.drop_rate
@@ -67,6 +76,7 @@ std::optional<FaultCampaign> FaultCampaign::parse(std::string_view spec) {
       return std::nullopt;
     }
   }
+  if (!keys_distinct(once)) return std::nullopt;
   return campaign;
 }
 

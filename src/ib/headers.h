@@ -32,8 +32,6 @@ enum class OpCode : std::uint8_t {
   kRcSendOnly = 0x04,        // reliable connection, single-packet SEND
   kRcAck = 0x11,             // RC acknowledge (carries AETH)
   kRcRdmaWriteOnly = 0x0A,   // RC RDMA WRITE, single packet (carries RETH)
-  kRcRdmaReadRequest = 0x0C, // RC RDMA READ request (carries RETH)
-  kRcRdmaReadResponse = 0x10,// RC RDMA READ response (carries AETH)
   kUdSendOnly = 0x64,        // unreliable datagram SEND (carries DETH)
 };
 

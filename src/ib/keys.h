@@ -24,7 +24,6 @@ struct MemoryRegion {
   RKeyValue rkey = 0;
   LKeyValue lkey = 0;
   bool remote_write = false;
-  bool remote_read = false;
 };
 
 /// The HCA's memory translation & protection table. RDMA requests name a
@@ -37,17 +36,15 @@ class MemoryRegionTable {
     return regions_.emplace(region.rkey, region).second;
   }
 
-  /// Validates an RDMA access: R_Key exists, [va, va+len) within bounds,
-  /// and the permission matches. Returns the region on success.
+  /// Validates an RDMA WRITE: R_Key exists, [va, va+len) within bounds,
+  /// and the region allows remote writes. Returns the region on success.
   std::optional<MemoryRegion> check_access(RKeyValue rkey, std::uint64_t va,
-                                           std::uint32_t len,
-                                           bool is_write) const {
+                                           std::uint32_t len) const {
     const auto it = regions_.find(rkey);
     if (it == regions_.end()) return std::nullopt;
     const MemoryRegion& r = it->second;
     if (va < r.va_base || va + len > r.va_base + r.length) return std::nullopt;
-    if (is_write && !r.remote_write) return std::nullopt;
-    if (!is_write && !r.remote_read) return std::nullopt;
+    if (!r.remote_write) return std::nullopt;
     return r;
   }
 

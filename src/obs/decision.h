@@ -42,8 +42,8 @@ enum class Decision : std::uint8_t {
   // ChannelAdapter retires and deliveries, and the RC control-packet gate.
   kCaVcrc, kCaMad, kCaPkeyViolation, kCaAuthMissing, kCaAuthBadTag,
   kCaAuthNoKey, kCaAuthReplay, kCaIcrcError, kCaRcDuplicate, kCaRcOutOfOrder,
-  kCaRdmaReadResponse, kCaNoDestQp, kCaQkeyViolation, kCaDelivered,
-  kCaRdmaRejected, kCaRdmaNak, kCaRcControlRejected, kCaRcControlAccepted,
+  kCaNoDestQp, kCaQkeyViolation, kCaDelivered, kCaRdmaRejected,
+  kCaRcControlRejected, kCaRcControlAccepted,
   // SubnetManager trap validation and SIF programming.
   kSmTrapAccepted, kSmTrapRejected, kSifInstall,
   kCount
@@ -82,12 +82,10 @@ inline constexpr std::array<DecisionRow,
         {Decision::kCaIcrcError, DecisionSite::kCa, "", "", TraceEventType::kRetire, "icrc_error"},
         {Decision::kCaRcDuplicate, DecisionSite::kCa, "", "", TraceEventType::kRetire, "rc_duplicate"},
         {Decision::kCaRcOutOfOrder, DecisionSite::kCa, "", "", TraceEventType::kRetire, "rc_out_of_order"},
-        {Decision::kCaRdmaReadResponse, DecisionSite::kCa, "", "", TraceEventType::kRetire, "rdma_read_response"},
         {Decision::kCaNoDestQp, DecisionSite::kCa, "", "", TraceEventType::kRetire, "no_dest_qp"},
         {Decision::kCaQkeyViolation, DecisionSite::kCa, "qkey_reject", "rejected", TraceEventType::kRetire, "qkey_violation"},
         {Decision::kCaDelivered, DecisionSite::kCa, "", "", TraceEventType::kDeliver, ""},
         {Decision::kCaRdmaRejected, DecisionSite::kCa, "", "", TraceEventType::kRetire, "rdma_rejected"},
-        {Decision::kCaRdmaNak, DecisionSite::kCa, "", "", TraceEventType::kRetire, "rdma_nak"},
         {Decision::kCaRcControlRejected, DecisionSite::kCa, "rc_spoofed_control", "rejected", std::nullopt, ""},
         {Decision::kCaRcControlAccepted, DecisionSite::kCa, "rc_spoofed_control", "accepted", std::nullopt, ""},
         {Decision::kSmTrapAccepted, DecisionSite::kSubnetManager, "sm_trap", "accepted", std::nullopt, ""},

@@ -49,8 +49,6 @@ ChannelAdapter::ChannelAdapter(fabric::Fabric& fabric, int node,
   retire_.auth_rejected = &reg.counter(prefix + "auth_rejected");
   retire_.icrc_error = &reg.counter(prefix + "icrc_error");
   retire_.rdma_rejected = &reg.counter(prefix + "rdma_rejected");
-  retire_.rdma_nak = &reg.counter(prefix + "rdma_nak");
-  retire_.rdma_read_response = &reg.counter(prefix + "rdma_read_response");
   retire_.ack = &reg.counter(prefix + "ack");
   retire_.nak = &reg.counter(prefix + "nak");
   retire_.no_dest_qp = &reg.counter(prefix + "no_dest_qp");
@@ -158,9 +156,6 @@ void ChannelAdapter::post_request(QueuePair& qp, ib::OpCode op,
   pkt.bth.ack_req = ack_req;
   pkt.reth = reth;
   pkt.payload = std::move(payload);
-  if (op == ib::OpCode::kRcRdmaReadRequest) {
-    qp.requester.expect_read(pkt.bth.psn, reth->va);
-  }
   ++qp.counters.sent;
   qp.requester.submit(std::move(pkt));
 }
@@ -235,16 +230,6 @@ bool ChannelAdapter::post_rdma_write(ib::Qpn local_qp, std::uint64_t remote_va,
   const auto length = static_cast<std::uint32_t>(payload.size());
   post_request(*qp, ib::OpCode::kRcRdmaWriteOnly, tclass, std::move(payload),
                ib::Reth{remote_va, rkey, length}, ack_req);
-  return true;
-}
-
-bool ChannelAdapter::post_rdma_read(ib::Qpn local_qp, std::uint64_t remote_va,
-                                    ib::RKeyValue rkey, std::uint32_t length,
-                                    ib::PacketMeta::TrafficClass tclass) {
-  QueuePair* qp = find_qp(local_qp);
-  if (!can_post_rc(qp) || length > fabric_.config().mtu_bytes) return false;
-  post_request(*qp, ib::OpCode::kRcRdmaReadRequest, tclass, {},
-               ib::Reth{remote_va, rkey, length});
   return true;
 }
 
@@ -388,28 +373,15 @@ void ChannelAdapter::handle_data_packet(ib::Packet&& pkt) {
     RcRequester::on_ack(rc_, qp, pkt);
     return;
   }
-  if (pkt.bth.opcode == ib::OpCode::kRcRdmaReadResponse) {
-    record(obs::Decision::kCaRdmaReadResponse, *retire_.rdma_read_response,
-           pkt);
-    if (qp != nullptr) qp->requester.on_read_response(pkt);
+  if (qp != nullptr &&
+      qp->responder.admit(pkt) == RcResponder::Verdict::kDrop) {
     return;
   }
-  const auto verdict = qp != nullptr ? qp->responder.admit(pkt)
-                                      : RcResponder::Verdict::kDeliver;
-  if (verdict == RcResponder::Verdict::kReserveRead) {
-    serve_rdma_read(qp, pkt, /*duplicate=*/true);
-  }
-  if (verdict != RcResponder::Verdict::kDeliver) return;
 
-  // 4. RDMA executes against the memory table without QP involvement.
+  // 4. RDMA WRITE executes against the memory table without QP involvement.
   if (pkt.bth.opcode == ib::OpCode::kRcRdmaWriteOnly) {
     apply_rdma_write(pkt);
     if (qp != nullptr) qp->responder.acknowledge(pkt);
-    return;
-  }
-  if (pkt.bth.opcode == ib::OpCode::kRcRdmaReadRequest) {
-    // The response itself is the acknowledgement — no separate ACK.
-    serve_rdma_read(qp, pkt);
     return;
   }
 
@@ -442,42 +414,6 @@ void ChannelAdapter::handle_data_packet(ib::Packet&& pkt) {
   qp->responder.acknowledge(pkt);
 }
 
-void ChannelAdapter::serve_rdma_read(QueuePair* qp, const ib::Packet& pkt,
-                                     bool duplicate) {
-  // The response goes back through the targeted RC QP's binding. A
-  // duplicate request (retransmitted after its response was lost) was
-  // already retired as rc_duplicate: the response is rebuilt and resent but
-  // no counters move, so served work stays exactly-once.
-  if (qp == nullptr || qp->type != ServiceType::kReliableConnection ||
-      !qp->connected || !pkt.reth) {
-    if (!duplicate) {
-      record(obs::Decision::kCaRdmaRejected, *retire_.rdma_rejected, pkt);
-    }
-    return;
-  }
-  const auto region = memory_table_.check_access(
-      pkt.reth->rkey, pkt.reth->va, pkt.reth->dma_len, /*is_write=*/false);
-  if (!region) {
-    if (!duplicate) record(obs::Decision::kCaRdmaNak, *retire_.rdma_nak, pkt);
-    qp->responder.reply(ib::OpCode::kRcRdmaReadResponse, pkt.bth.psn,
-                        ib::Aeth{0x60 /*NAK: remote access error*/,
-                                 pkt.bth.psn});
-    return;
-  }
-  if (!duplicate) {
-    ++counters_.rdma_reads_served;
-    record(obs::Decision::kCaDelivered, *retire_.delivered, pkt);
-    if (probe_) probe_(pkt);
-  }
-  const auto begin = memory_.at(pkt.reth->rkey).begin() +
-                     static_cast<long>(pkt.reth->va - region->va_base);
-  std::vector<std::uint8_t> data =
-      fabric_.simulator().packets().buffer(pkt.reth->dma_len);
-  data.assign(begin, begin + static_cast<long>(pkt.reth->dma_len));
-  qp->responder.reply(ib::OpCode::kRcRdmaReadResponse, pkt.bth.psn,
-                      ib::Aeth{kAethAck, pkt.bth.psn}, std::move(data));
-}
-
 std::uint64_t ChannelAdapter::qkey_drops(ib::Qpn qpn) const {
   const auto it = qkey_drop_obs_.find(qpn);
   return it == qkey_drop_obs_.end() ? 0 : it->second->value();
@@ -501,7 +437,7 @@ void ChannelAdapter::apply_rdma_write(const ib::Packet& pkt) {
   }
   const auto region = memory_table_.check_access(
       pkt.reth->rkey, pkt.reth->va,
-      static_cast<std::uint32_t>(pkt.payload.size()), /*is_write=*/true);
+      static_cast<std::uint32_t>(pkt.payload.size()));
   if (!region) {
     record(obs::Decision::kCaRdmaRejected, *retire_.rdma_rejected, pkt);
     return;

@@ -11,9 +11,9 @@
 //      selects a MAC whose key is found by the key-management scheme.
 //   3. Q_Key check for UD packets (plaintext Q_Key — the vulnerability).
 //   4. The destination QP is looked up once: its RcRequester takes RC
-//      ACK/NAKs and READ responses, its RcResponder gates RC requests by PSN
+//      ACK/NAKs, its RcResponder gates RC requests by PSN
 //      (transport/rc_reliability.h; the CA is their RcWire).
-//   5. RDMA requests validate the R_Key against the memory-region table and
+//   5. RDMA WRITEs validate the R_Key against the memory-region table and
 //      execute against simulated memory with no QP intervention.
 #pragma once
 
@@ -132,17 +132,6 @@ class ChannelAdapter : private RcWire {
                        ib::PacketMeta::TrafficClass tclass,
                        bool ack_req = false);
 
-  /// RDMA READ over a bound RC QP: the responder's CA serves the data with
-  /// no QP involvement (checked only against the memory-region table). The
-  /// completion handler fires with the data (ok=true) or with a NAK
-  /// (ok=false: bad R_Key, bounds, or permission).
-  bool post_rdma_read(ib::Qpn local_qp, std::uint64_t remote_va,
-                      ib::RKeyValue rkey, std::uint32_t length,
-                      ib::PacketMeta::TrafficClass tclass);
-  void set_read_completion_handler(decltype(RcContext::on_read) handler) {
-    rc_.on_read = std::move(handler);
-  }
-
   /// Raw injection, bypassing every CA-side check — the compromised-node
   /// primitive the DoS attacker uses.
   void inject_raw(ib::Packet&& pkt);
@@ -193,8 +182,8 @@ class ChannelAdapter : private RcWire {
   /// Registry counters under "ca.<node>.retired.<cause>", the only store of
   /// these counts: every packet the HCA hands up is retired by exactly one of
   /// them, so per-node conservation (hca.received == Σ retired.*) holds by
-  /// construction. "delivered" covers SENDs reaching a QP, applied RDMA
-  /// WRITEs, and served RDMA READ requests.
+  /// construction. "delivered" covers SENDs reaching a QP and applied RDMA
+  /// WRITEs.
   struct RetireObs : RcRetireObs {
     obs::Counter* vcrc = nullptr;
     obs::Counter* mad = nullptr;
@@ -203,8 +192,6 @@ class ChannelAdapter : private RcWire {
     obs::Counter* auth_rejected = nullptr; ///< bad tag / no key / replay
     obs::Counter* icrc_error = nullptr;
     obs::Counter* rdma_rejected = nullptr;
-    obs::Counter* rdma_nak = nullptr;
-    obs::Counter* rdma_read_response = nullptr;
     obs::Counter* no_dest_qp = nullptr;
     obs::Counter* qkey_violation = nullptr;
     obs::Counter* delivered = nullptr;
@@ -225,7 +212,6 @@ class ChannelAdapter : private RcWire {
     /// MADs from the fabric and node-local ones alike.
     std::uint64_t mads_received = 0;
     std::uint64_t rdma_writes_applied = 0;
-    std::uint64_t rdma_reads_served = 0;
     std::uint64_t messages_delivered = 0;
     std::uint64_t reconfigs_applied = 0;
     std::uint64_t reconfigs_rejected = 0;
@@ -236,10 +222,6 @@ class ChannelAdapter : private RcWire {
   void on_packet(ib::Packet&& pkt);
   void handle_data_packet(ib::Packet&& pkt);
   void apply_rdma_write(const ib::Packet& pkt);
-  /// `duplicate` re-serves a retransmitted request: the response is rebuilt
-  /// and resent but no delivery counters advance (exactly-once accounting).
-  void serve_rdma_read(QueuePair* qp, const ib::Packet& pkt,
-                       bool duplicate = false);
   /// The one RC request builder: takes the next PSN and hands the packet
   /// to the QP's requester.
   void post_request(QueuePair& qp, ib::OpCode op,

@@ -17,7 +17,6 @@ bool is_rc_request(ib::OpCode op) {
     case ib::OpCode::kRcSendLast:
     case ib::OpCode::kRcSendOnly:
     case ib::OpCode::kRcRdmaWriteOnly:
-    case ib::OpCode::kRcRdmaReadRequest:
       return true;
     default:
       return false;
@@ -108,7 +107,6 @@ void RcRequester::fail() {
   const ib::Psn oldest = window_.begin()->first;
   window_.clear();
   pending_.clear();
-  reads_.clear();  // reads in flight on this QP will never complete
   ++timer_generation_;
   if (rc_.on_error) rc_.on_error(qp_.qpn, oldest);
 }
@@ -195,11 +193,6 @@ IBSEC_HOT std::size_t RcRequester::ack_through(ib::Psn psn, bool inclusive) {
     const bool covered =
         inclusive ? psn_le(it->first, psn) : psn_lt(it->first, psn);
     if (!covered) break;
-    if (it->second.bth.opcode == ib::OpCode::kRcRdmaReadRequest) {
-      // Cumulative ACKs never complete a read — only its response does.
-      ++it;
-      continue;
-    }
     rc_.trace(it->second, obs::TraceEventType::kRcComplete, "",
               static_cast<std::int64_t>(it->first));
     rc_.sim.packets().recycle(std::move(it->second.payload));
@@ -224,30 +217,6 @@ void RcRequester::on_progress() {
   }
 }
 
-void RcRequester::on_read_response(const ib::Packet& pkt) {
-  // A response retires only the READ request it answers: a SEND or WRITE
-  // at the same PSN still waits for the ACK that covers it.
-  if (const auto it = window_.find(pkt.bth.psn);
-      it != window_.end() &&
-      it->second.bth.opcode == ib::OpCode::kRcRdmaReadRequest) {
-    rc_.trace(it->second, obs::TraceEventType::kRcComplete, "read",
-              static_cast<std::int64_t>(it->first));
-    window_.erase(it);
-    on_progress();
-  }
-  const auto read = reads_.find(pkt.bth.psn);
-  if (read == reads_.end()) return;  // unsolicited or duplicate
-  const std::uint64_t va = read->second;
-  reads_.erase(read);
-  // A forged response that names an outstanding READ completes it with the
-  // forger's data: counted like a forged ACK that clears the window.
-  note_spoof(pkt, 1);
-  if (rc_.on_read) {
-    rc_.on_read(qp_.qpn, va, pkt.payload,
-                pkt.aeth && pkt.aeth->syndrome == kAethAck);
-  }
-}
-
 // --- RcResponder -------------------------------------------------------------
 
 IBSEC_HOT RcResponder::Verdict RcResponder::admit(const ib::Packet& pkt) {
@@ -262,9 +231,9 @@ IBSEC_HOT RcResponder::Verdict RcResponder::admit(const ib::Packet& pkt) {
     expected_psn_ = (psn + 1) & ib::kPsnMask;
     return Verdict::kDeliver;
   }
-  // In-order arrivals advance expected_psn; duplicates are re-acked (or, for
-  // a READ, re-served) and retired; out-of-order arrivals are dropped with
-  // one NAK per gap (go-back-N keeps the responder strictly in order).
+  // In-order arrivals advance expected_psn; duplicates are re-acked and
+  // retired; out-of-order arrivals are dropped with one NAK per gap
+  // (go-back-N keeps the responder strictly in order).
   if (psn == expected_psn_) {
     expected_psn_ = (expected_psn_ + 1) & ib::kPsnMask;
     nak_armed_ = false;
@@ -272,9 +241,6 @@ IBSEC_HOT RcResponder::Verdict RcResponder::admit(const ib::Packet& pkt) {
   }
   if (psn_lt(psn, expected_psn_)) {
     rc_.record(obs::Decision::kCaRcDuplicate, *rc_.retire.rc_duplicate, pkt);
-    if (pkt.bth.opcode == ib::OpCode::kRcRdmaReadRequest) {
-      return Verdict::kReserveRead;  // the earlier response was lost
-    }
     schedule_ack(/*force=*/true);
     return Verdict::kDrop;
   }
@@ -284,8 +250,7 @@ IBSEC_HOT RcResponder::Verdict RcResponder::admit(const ib::Packet& pkt) {
   if (!nak_armed_) {
     nak_armed_ = true;
     rc_.obs.naks->inc();
-    reply(ib::OpCode::kRcAck, expected_psn_,
-          ib::Aeth{kAethNakPsnSequence, expected_psn_});
+    reply(expected_psn_, ib::Aeth{kAethNakPsnSequence, expected_psn_});
   }
   return Verdict::kDrop;
 }
@@ -296,8 +261,7 @@ void RcResponder::acknowledge(const ib::Packet& pkt) {
     schedule_ack(pkt.bth.ack_req);
   } else if (pkt.bth.ack_req) {
     ++rc_.counts.acks_sent;
-    reply(ib::OpCode::kRcAck, pkt.bth.psn,
-          ib::Aeth{kAethAck, pkt.bth.psn & ib::kPsnMask});
+    reply(pkt.bth.psn, ib::Aeth{kAethAck, pkt.bth.psn & ib::kPsnMask});
   }
 }
 
@@ -322,15 +286,14 @@ void RcResponder::send_ack() {
   const ib::Psn acked = (expected_psn_ + ib::kPsnMask) & ib::kPsnMask;
   ++rc_.counts.acks_sent;
   rc_.obs.acks->inc();
-  reply(ib::OpCode::kRcAck, acked, ib::Aeth{kAethAck, acked});
+  reply(acked, ib::Aeth{kAethAck, acked});
 }
 
-void RcResponder::reply(ib::OpCode op, ib::Psn psn, ib::Aeth aeth,
-                        std::vector<std::uint8_t> payload) {
+void RcResponder::reply(ib::Psn psn, ib::Aeth aeth) {
   ib::Packet pkt = rc_.wire.to_peer(
-      qp_, op, psn, ib::PacketMeta::TrafficClass::kBestEffort, -1);
+      qp_, ib::OpCode::kRcAck, psn, ib::PacketMeta::TrafficClass::kBestEffort,
+      -1);
   pkt.aeth = aeth;
-  pkt.payload = std::move(payload);
   rc_.wire.sign_and_send(std::move(pkt));
 }
 

@@ -7,9 +7,7 @@
 //
 // ACK/NAK ride the kRcAck opcode with an AETH: syndrome 0x00 is a
 // cumulative positive acknowledgement of AETH.msn, syndrome 0x60 is the
-// NAK whose AETH.msn names the receiver's expected PSN. (RDMA READ
-// responses reuse 0x60 for remote-access NAKs on their own opcode; the
-// spaces don't collide.)
+// NAK whose AETH.msn names the receiver's expected PSN.
 //
 // Both reach the world only through their RcContext: an RcWire that builds
 // and sends packets, and the Simulator for time, timers and decisions.
@@ -106,9 +104,8 @@ struct RcObs {
   obs::Counter* naks = nullptr;
   obs::Counter* retry_exhausted = nullptr;
   /// Attack-tagged RC control packets that passed validation AND cleared
-  /// send-window entries they never earned, plus attack-tagged READ
-  /// responses that completed an outstanding READ — the rc-spoof
-  /// campaign's success metric. Stays 0 with validate_control on unless a spoofed
+  /// send-window entries they never earned — the rc-spoof campaign's
+  /// success metric. Stays 0 with validate_control on unless a spoofed
   /// PSN lands inside the live window (~window/2^24 per attempt). Created
   /// on first use ("ca.<n>.rc.spoofed_control_accepted"), so attack-free
   /// runs never grow a snapshot entry.
@@ -153,17 +150,13 @@ struct RcContext {
   RcObs obs{};
   const RcRetireObs& retire;
   RcCounts& counts;
-  /// An RDMA READ completed with its data (ok) or a NAK (!ok).
-  std::function<void(ib::Qpn local_qp, std::uint64_t va,
-                     std::vector<std::uint8_t> data, bool ok)>
-      on_read{};
   /// Retry exhaustion: the QP is now in error (posts fail) and the PSN is
   /// that of the first request that was given up on.
   std::function<void(ib::Qpn qpn, ib::Psn oldest_unacked)> on_error{};
 };
 
 /// The sending side of one RC QP: window, pending queue, transport timer,
-/// retransmission, ACK/NAK validation and outstanding RDMA READs.
+/// retransmission and ACK/NAK validation.
 class RcRequester {
  public:
   RcRequester(RcContext& rc, QueuePair& qp) : rc_(rc), qp_(qp) {}
@@ -172,20 +165,14 @@ class RcRequester {
   /// Sends a request of this QP (PSN taken), or queues it behind a full
   /// window.
   IBSEC_HOT void submit(ib::Packet&& pkt);
-  /// An RDMA READ request at `psn` for `va` is about to be submitted.
-  void expect_read(ib::Psn psn, std::uint64_t va) { reads_[psn] = va; }
   /// An ACK or NAK addressed to `qp` (null when no such QP exists).
   IBSEC_HOT static void on_ack(RcContext& rc, QueuePair* qp,
                                const ib::Packet& pkt);
-  /// An RDMA READ response for this QP: retires its READ request (never
-  /// another request at that PSN) and completes its read (a duplicate
-  /// completes nothing; an attack-tagged one counts as a spoof).
-  void on_read_response(const ib::Packet& pkt);
 
   /// Retry budget exhausted: posts fail from now on.
   bool failed() const { return failed_; }
   /// Unacked requests keyed by PSN; entries leave on a covering
-  /// cumulative ACK (or, for RDMA READ requests, on the response).
+  /// cumulative ACK.
   const std::map<ib::Psn, ib::Packet>& window() const { return window_; }
   /// Posts beyond max_outstanding, transmitted as the window drains.
   const std::deque<ib::Packet>& pending() const { return pending_; }
@@ -209,9 +196,7 @@ class RcRequester {
   QueuePair& qp_;
   std::map<ib::Psn, ib::Packet> window_;
   std::deque<ib::Packet> pending_;
-  /// Outstanding RDMA READs: request PSN -> remote VA.
-  std::map<ib::Psn, std::uint64_t> reads_;
-  /// Consecutive timeout rounds without progress; reset by any ACK/response.
+  /// Consecutive timeout rounds without progress; reset by any ACK.
   int retry_count_ = 0;
   /// Guards the (uncancellable) transport timer: events carrying an older
   /// generation fire as no-ops.
@@ -228,9 +213,8 @@ class RcResponder {
   RcResponder(const RcResponder&) = delete;  // its ACK timer holds `this`
 
   enum class Verdict : std::uint8_t {
-    kDeliver,       ///< execute or deliver it
-    kDrop,          ///< retired here (duplicate re-ACKed, or a gap NAKed)
-    kReserveRead,   ///< duplicate READ request: resend its response
+    kDeliver,  ///< execute or deliver it
+    kDrop,     ///< retired here (duplicate re-ACKed, or a gap NAKed)
   };
   /// The PSN gate. Only RC requests on a bound RC QP are sequenced.
   IBSEC_HOT Verdict admit(const ib::Packet& pkt);
@@ -240,9 +224,8 @@ class RcResponder {
   /// Feeds a SEND First/Middle/Last; returns the message a Last completes,
   /// valid until the next First (the buffer keeps its capacity).
   const std::vector<std::uint8_t>* reassemble(const ib::Packet& pkt);
-  /// Every reply to the bound peer: ACK, NAK, ack_req reply, READ response.
-  void reply(ib::OpCode op, ib::Psn psn, ib::Aeth aeth,
-             std::vector<std::uint8_t> payload = {});
+  /// Every reply to the bound peer: ACK, NAK or ack_req reply.
+  void reply(ib::Psn psn, ib::Aeth aeth);
 
  private:
   void schedule_ack(bool force);

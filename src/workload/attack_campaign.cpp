@@ -12,6 +12,7 @@ namespace ibsec::workload {
 namespace {
 
 using spec_text::cut;
+using spec_text::keys_distinct;
 using spec_text::parse_int;
 using spec_text::parse_time_us;
 using spec_text::split;
@@ -74,18 +75,23 @@ const char* to_string(AttackKind kind) {
 std::optional<AttackCampaignSpec> AttackCampaignSpec::parse(
     std::string_view spec) {
   AttackCampaignSpec out;
+  // Every entry but attack= may appear once.
+  std::vector<std::string_view> once;
   for (std::string_view entry : split(spec, ';')) {
     if (entry.empty()) continue;
     std::string_view key, value;
     if (!cut(entry, '=', key, value)) return std::nullopt;
     if (key == "seed") {
+      once.push_back(entry);
       if (!parse_int(value, out.seed)) return std::nullopt;
     } else if (key == "attack") {
       std::string_view name, subs;
       cut(value, ':', name, subs);
       AttackSpec a;
       if (!kind_from_name(name, a.kind)) return std::nullopt;
-      for (std::string_view sub : split(subs, ',')) {
+      const std::vector<std::string_view> sub_entries = split(subs, ',');
+      if (!keys_distinct(sub_entries)) return std::nullopt;
+      for (std::string_view sub : sub_entries) {
         std::string_view k, v;
         if (!cut(sub, '=', k, v)) return std::nullopt;
         std::uint64_t u = 0;
@@ -116,6 +122,7 @@ std::optional<AttackCampaignSpec> AttackCampaignSpec::parse(
       return std::nullopt;
     }
   }
+  if (!keys_distinct(once)) return std::nullopt;
   return out;
 }
 

@@ -32,8 +32,6 @@ bool known_opcode(std::uint8_t raw) {
     case OpCode::kRcSendOnly:
     case OpCode::kRcAck:
     case OpCode::kRcRdmaWriteOnly:
-    case OpCode::kRcRdmaReadRequest:
-    case OpCode::kRcRdmaReadResponse:
     case OpCode::kUdSendOnly:
       return true;
   }
@@ -45,11 +43,11 @@ bool known_opcode(std::uint8_t raw) {
 bool opcode_has_deth(OpCode op) { return op == OpCode::kUdSendOnly; }
 
 bool opcode_has_reth(OpCode op) {
-  return op == OpCode::kRcRdmaWriteOnly || op == OpCode::kRcRdmaReadRequest;
+  return op == OpCode::kRcRdmaWriteOnly;
 }
 
 bool opcode_has_aeth(OpCode op) {
-  return op == OpCode::kRcAck || op == OpCode::kRcRdmaReadResponse;
+  return op == OpCode::kRcAck;
 }
 
 Lrh parse_lrh(std::span<const std::uint8_t, Lrh::kWireSize> in) {

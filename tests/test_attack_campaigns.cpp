@@ -96,6 +96,11 @@ TEST(AttackSpecGrammar, MalformedSpecsRejected) {
       "attack=scan:node= 3",            // whitespace
       "attack=scan:count=+5",           // explicit sign
       "seed= 7",                        // whitespace
+      // A key given twice: not "the last one wins". Only attack= repeats
+      // (DefaultsAndSubkeys), and each campaign's subkeys are its own.
+      "attack=scan:count=3,count=600",
+      "seed=1;seed=2",
+      "seed=1;attack=scan;seed=2",
   };
   for (const char* bad : kBad) {
     EXPECT_FALSE(AttackCampaignSpec::parse(bad).has_value()) << bad;

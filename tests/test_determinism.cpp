@@ -197,19 +197,19 @@ TEST(Determinism, GoldenExportHashesAcrossRefactors) {
   };
   const Golden kGolden[] = {
       {"mesh 0", config_variant(0),
-       "d09a3fb618a04f7c45b25049230cc2b5e450851a6d15861ed61b1c22ee0030bf",
+       "dd95498813f3b9b23fe10c081b04540cbc2d9fbcbb7f9dbd361a0eeb79994467",
        "b91a24f7b2abbcc31b2706d35a19b77f7d2951c85102baf25ae78d24cc3b5bb6",
        "eebf4423c8ae660d320b3cfcf6dc310d5109c4736beb97aec8a01a77705258b8",
        "e183d754cf79b400646488d00449d68e2190883a6ac98f04f72c1c8a4123a903",
        "70f4582f9888a6d1a3af2a046a1d657334b35b8bb1f6e5ad51942cee02f08fb4"},
       {"mesh 2", config_variant(2),
-       "01238c0759fce0c91e738386a32e89fe660793632fcab9b8bece2a4a8fe44660",
+       "10351601bcd5fe15c99ea452b4940360be86c13b23e1f4456c8e3dd1838a12c9",
        "fe16a728575a30551014de0b07e1a86ab55ecec19aefeb6024078fa7c6050c00",
        "586f3598ae5ec5a1b2256cbc5e6ea1010b3862fbbe36e2812a80ad04a2ecb457",
        "3587574b7b069e741c52a088fba2244d450256e8cb88a1c4b11277882596642e",
        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
       {"campaign", campaign_variant(),
-       "cb9c4232d7360115cba394397598cebffa952dd7ad53fa0fbb6bfa4bd9aa6a0b",
+       "013f1b38b088dfca3f3af570c7cf9b85a2b0b67a2b198810f800cfbbf34f20c5",
        "7639d0b24ee6233eb07000905733238250842f668afeb565c16893a180fb8802",
        "79c95dda543c2512df4ea751f457c07963e55cff849fc8dd68748195000c5a2e",
        "70345469cb7b8535fea8703f1b37b8a47109c506c35f653a4450c386464dc0bd",
@@ -281,11 +281,11 @@ TEST(Determinism, OffMeshGoldenExportHashes) {
     const char* timeseries_csv;
   };
   const Golden kGolden[] = {
-      {0, "cf39fd9e30f7e80f239e6b21de80a2116ca3e5c29d9ce449d14b526da67e1f9b",
+      {0, "ea232c38e56ff061669b82b655a9c528425ff1b4fd1724e8403deef9daec26a4",
        "4264f6825dd01c1d35de884e68d9988a4a1c43208157e5562efa4549a8d2d6da",
        "a3d3186cf44766b14dc58b893c324bb726ef981c53628469aad9dc133d53755c",
        "a71a9a948e0698bce00b5990242f87f681212842da90040cc18704e8150aa7bd"},
-      {1, "b03228ec23b5df2125e593cc8290b463b47fde67c24ead5df5f0e03813541702",
+      {1, "fa2c909427647842db5d169a841abe411471865d62d64f6ed28681fdb6d1132a",
        "2d03abf73f105fc83beca2541bfd8777c70b5c66a6893c5ed0170e93b1f279b8",
        "558f4436053e990645e2f6bf75ca952ae089667cbcab93e20aa6d65db61cec78",
        "066d07bbb67d57ee8255e235d1beccc35fc00b970f9ccbb84b7c2f06b747a3a1"},

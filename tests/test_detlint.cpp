@@ -270,16 +270,22 @@ TEST(DetlintOutput, FindingsAreSortedByFileLineRule) {
 
 // --- fixture files -----------------------------------------------------------
 // The deliberately-seeded violation files under tests/detlint_fixtures/:
-// every rule must be caught via the real file-scanning path, and the
-// fully-suppressed fixture must come back clean.
+// every rule must be caught through the file-loading analyzer the CLI
+// runs, and the fully-suppressed fixture must come back clean.
 
-std::vector<Finding> scan_fixture(const std::string& name) {
+/// Every pass but the metric schema's over `path` (a file or directory).
+std::vector<Finding> analyze_path(const std::string& path) {
+  AnalyzerOptions options;
+  options.paths = {path};
   std::vector<Finding> findings;
   std::string error;
-  const std::string path =
-      std::string(IBSEC_SOURCE_ROOT) + "/tests/detlint_fixtures/" + name;
-  EXPECT_TRUE(scan_path(path, findings, error)) << error;
+  EXPECT_TRUE(analyze_project(options, findings, error)) << error;
   return findings;
+}
+
+std::vector<Finding> scan_fixture(const std::string& name) {
+  return analyze_path(std::string(IBSEC_SOURCE_ROOT) +
+                      "/tests/detlint_fixtures/" + name);
 }
 
 TEST(DetlintFixtures, UnorderedFixtureTriggersExactly) {
@@ -309,29 +315,21 @@ TEST(DetlintFixtures, SuppressedFixtureIsClean) {
 }
 
 TEST(DetlintFixtures, MissingPathReportsError) {
+  AnalyzerOptions options;
+  options.paths = {"/nonexistent/detlint/path"};
   std::vector<Finding> findings;
   std::string error;
-  EXPECT_FALSE(scan_path("/nonexistent/detlint/path", findings, error));
+  EXPECT_FALSE(analyze_project(options, findings, error));
   EXPECT_FALSE(error.empty());
 }
 
-// --- the point: the real tree is clean ---------------------------------------
-
-TEST(DetlintCleanTree, SrcHasZeroFindings) {
-  std::vector<Finding> findings;
-  std::string error;
-  ASSERT_TRUE(scan_path(std::string(IBSEC_SOURCE_ROOT) + "/src", findings,
-                        error))
-      << error;
-  EXPECT_TRUE(findings.empty()) << to_text(findings);
-}
+// --- the real tree is clean ----------------------------------------------------
+// src/ is checked by every pass, schema included, in test_detlint_analysis
+// and by the detlint_src_clean ctest.
 
 TEST(DetlintCleanTree, DetlintItselfIsClean) {
-  std::vector<Finding> findings;
-  std::string error;
-  ASSERT_TRUE(scan_path(std::string(IBSEC_SOURCE_ROOT) + "/tools/detlint",
-                        findings, error))
-      << error;
+  const auto findings =
+      analyze_path(std::string(IBSEC_SOURCE_ROOT) + "/tools/detlint");
   EXPECT_TRUE(findings.empty()) << to_text(findings);
 }
 

@@ -194,6 +194,16 @@ TEST(FaultCampaignGrammar, AcceptsEachFormInUseWithExactValues) {
   EXPECT_EQ(forever.link_overrides.at("sw0.out1").flaps[0].down_at,
             100 * kMicrosecond);
   EXPECT_EQ(forever.link_overrides.at("sw0.out1").flaps[0].up_at, -1);
+
+  // link=, flap= and dead-switch= name one link or switch each, so they
+  // repeat, and two link= entries for one link both apply.
+  const FaultCampaign repeated = fault_spec(
+      "link=X:drop=0.2;link=X:corrupt=0.3;flap=X:1us-2us;flap=X:3us-4us;"
+      "dead-switch=1;dead-switch=2");
+  EXPECT_EQ(repeated.link_overrides.at("X").drop_rate, 0.2);
+  EXPECT_EQ(repeated.link_overrides.at("X").corruption_rate, 0.3);
+  EXPECT_EQ(repeated.link_overrides.at("X").flaps.size(), 2u);
+  EXPECT_EQ(repeated.dead_switches, (std::vector<int>{1, 2}));
 }
 
 TEST(FaultCampaignGrammar, RejectsWhatItCannotReadExactly) {
@@ -209,6 +219,11 @@ TEST(FaultCampaignGrammar, RejectsWhatItCannotReadExactly) {
            "link=hca0.out:drop=inf",
            "flap=sw0.out1:1e30us-",       // ps conversion would overflow
            "flap=sw0.out1:nanus-5us",
+           // A key given twice: not "the last one wins".
+           "seed=1;seed=2",
+           "seed=3;drop=0.5;drop=0.0",
+           "corrupt=0.1;seed=3;corrupt=0.2",
+           "link=X:drop=0.1,drop=0.2",
        }) {
     EXPECT_FALSE(FaultCampaign::parse(bad).has_value()) << bad;
   }

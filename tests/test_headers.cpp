@@ -125,10 +125,8 @@ TEST(OpCodes, ExtensionHeaderPresence) {
   EXPECT_TRUE(opcode_has_deth(OpCode::kUdSendOnly));
   EXPECT_FALSE(opcode_has_deth(OpCode::kRcSendOnly));
   EXPECT_TRUE(opcode_has_reth(OpCode::kRcRdmaWriteOnly));
-  EXPECT_TRUE(opcode_has_reth(OpCode::kRcRdmaReadRequest));
   EXPECT_FALSE(opcode_has_reth(OpCode::kRcSendOnly));
   EXPECT_TRUE(opcode_has_aeth(OpCode::kRcAck));
-  EXPECT_TRUE(opcode_has_aeth(OpCode::kRcRdmaReadResponse));
   EXPECT_FALSE(opcode_has_aeth(OpCode::kUdSendOnly));
 }
 

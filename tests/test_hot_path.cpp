@@ -367,10 +367,9 @@ TEST(RingQueue, SteadyStatePushPopAllocatesNothing) {
 /// combination), optional GRH, payload sizes spanning empty through MTU.
 ib::Packet random_packet(Rng& rng) {
   static constexpr ib::OpCode kOps[] = {
-      ib::OpCode::kRcSendFirst,       ib::OpCode::kRcSendMiddle,
-      ib::OpCode::kRcSendLast,        ib::OpCode::kRcSendOnly,
-      ib::OpCode::kRcAck,             ib::OpCode::kRcRdmaWriteOnly,
-      ib::OpCode::kRcRdmaReadRequest, ib::OpCode::kRcRdmaReadResponse,
+      ib::OpCode::kRcSendFirst, ib::OpCode::kRcSendMiddle,
+      ib::OpCode::kRcSendLast,  ib::OpCode::kRcSendOnly,
+      ib::OpCode::kRcAck,       ib::OpCode::kRcRdmaWriteOnly,
       ib::OpCode::kUdSendOnly,
   };
   ib::Packet pkt;

@@ -56,18 +56,17 @@ TEST(MemoryRegionTableUnit, RegisterAndExactBounds) {
   region.length = 0x100;
   region.rkey = 0xAA;
   region.remote_write = true;
-  region.remote_read = true;
   ASSERT_TRUE(table.register_region(region));
   EXPECT_EQ(table.size(), 1u);
 
   // Full-region access at both ends.
-  EXPECT_TRUE(table.check_access(0xAA, 0x1000, 0x100, true).has_value());
-  EXPECT_TRUE(table.check_access(0xAA, 0x10FF, 1, false).has_value());
+  EXPECT_TRUE(table.check_access(0xAA, 0x1000, 0x100).has_value());
+  EXPECT_TRUE(table.check_access(0xAA, 0x10FF, 1).has_value());
   // One byte past the end fails.
-  EXPECT_FALSE(table.check_access(0xAA, 0x1000, 0x101, true).has_value());
-  EXPECT_FALSE(table.check_access(0xAA, 0x1100, 1, true).has_value());
+  EXPECT_FALSE(table.check_access(0xAA, 0x1000, 0x101).has_value());
+  EXPECT_FALSE(table.check_access(0xAA, 0x1100, 1).has_value());
   // One byte before the base fails.
-  EXPECT_FALSE(table.check_access(0xAA, 0x0FFF, 1, true).has_value());
+  EXPECT_FALSE(table.check_access(0xAA, 0x0FFF, 1).has_value());
 }
 
 TEST(MemoryRegionTableUnit, PermissionBitsIndependent) {
@@ -77,23 +76,21 @@ TEST(MemoryRegionTableUnit, PermissionBitsIndependent) {
   wr_only.length = 64;
   wr_only.rkey = 1;
   wr_only.remote_write = true;
-  MemoryRegion rd_only;
-  rd_only.va_base = 0;
-  rd_only.length = 64;
-  rd_only.rkey = 2;
-  rd_only.remote_read = true;
+  MemoryRegion no_write;
+  no_write.va_base = 0;
+  no_write.length = 64;
+  no_write.rkey = 2;
   table.register_region(wr_only);
-  table.register_region(rd_only);
+  table.register_region(no_write);
 
-  EXPECT_TRUE(table.check_access(1, 0, 8, /*is_write=*/true).has_value());
-  EXPECT_FALSE(table.check_access(1, 0, 8, /*is_write=*/false).has_value());
-  EXPECT_TRUE(table.check_access(2, 0, 8, /*is_write=*/false).has_value());
-  EXPECT_FALSE(table.check_access(2, 0, 8, /*is_write=*/true).has_value());
+  // Each region's remote_write bit alone decides, whatever the other's.
+  EXPECT_TRUE(table.check_access(1, 0, 8).has_value());
+  EXPECT_FALSE(table.check_access(2, 0, 8).has_value());
 }
 
 TEST(MemoryRegionTableUnit, UnknownRkeyFails) {
   MemoryRegionTable table;
-  EXPECT_FALSE(table.check_access(0xDEAD, 0, 1, true).has_value());
+  EXPECT_FALSE(table.check_access(0xDEAD, 0, 1).has_value());
 }
 
 TEST(MemoryRegionTableUnit, DuplicateRkeyRejected) {
@@ -112,9 +109,9 @@ TEST(MemoryRegionTableUnit, ZeroLengthAccessInsideRegionOk) {
   region.va_base = 0x100;
   region.length = 16;
   region.rkey = 9;
-  region.remote_read = true;
+  region.remote_write = true;
   table.register_region(region);
-  EXPECT_TRUE(table.check_access(9, 0x108, 0, false).has_value());
+  EXPECT_TRUE(table.check_access(9, 0x108, 0).has_value());
 }
 
 }  // namespace

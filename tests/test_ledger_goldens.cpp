@@ -82,16 +82,16 @@ INSTANTIATE_TEST_SUITE_P(
     Workloads, LedgerGolden,
     ::testing::Values(
         Golden{"mesh_dos",
-               "57f717e4d268a18a26a8b1c05d0e266bf67aeb914b30ce308c6a188bebadc3e1",
+               "4e023b58d7e549fe54209152d5e39422a8a923657d20d31012c128dcca09b072",
                /*events=*/754'229, /*link_packets=*/244'063},
         Golden{"fattree_mpi",
-               "ffcda3a076725ef99b80879df96635a1a74b60f64ac0cd1d72eb8fe0b3652c81",
+               "6683327266f269690a1985e0f0130ac24816cb1f2c0af659ae0c9ef77800d279",
                /*events=*/819'650, /*link_packets=*/278'828},
         Golden{"tenant2048",
-               "68a9585abde35fea75a4b3511d9cea91bbd5f93ef7d263ef593e15392983ac8e",
+               "bf8f9fa2c308039c962dd7d327c96b946050406432c1b9f529238e80b816b99f",
                /*events=*/287'417, /*link_packets=*/108'164},
         Golden{"campaign_obs",
-               "d6ec7f6976accdd03383508ad30000549abeddc98008169e5079e65a83304784",
+               "22417875a8bdca51902db4f634c0519af8e19e3f73fe157a29c62af154ff43dc",
                /*events=*/53'268, /*link_packets=*/16'243}),
     [](const ::testing::TestParamInfo<Golden>& info) {
       return std::string(info.param.workload);

@@ -345,86 +345,6 @@ TEST_F(RcStateMachines, OneNakPerGap) {
   EXPECT_EQ(b->ctx.obs.naks->value(), 2u);
 }
 
-// --- RDMA READ -----------------------------------------------------------------
-
-TEST_F(RcStateMachines, ReadCompletesOnlyOnItsResponse) {
-  build();
-  std::vector<std::uint64_t> completed;
-  a->ctx.on_read = [&](ib::Qpn qpn, std::uint64_t va,
-                       std::vector<std::uint8_t>, bool ok) {
-    EXPECT_EQ(qpn, a->qp.qpn);
-    EXPECT_TRUE(ok);
-    completed.push_back(va);
-  };
-  ib::Packet read = a->request(ib::OpCode::kRcRdmaReadRequest);
-  a->qp.requester.expect_read(read.bth.psn, 0x1000);
-  a->qp.requester.submit(std::move(read));
-  a->post(1);  // a SEND after it, PSN 1
-  a->wire.take();
-  // A cumulative ACK covering both retires only the SEND.
-  control_to_a(control(a->qp.qpn, kAethAck, 1));
-  ASSERT_EQ(a->qp.requester.window().size(), 1u);
-  EXPECT_EQ(a->qp.requester.window().begin()->first, 0u);
-  EXPECT_TRUE(completed.empty());
-  // The response completes the read, once.
-  ib::Packet response = control(a->qp.qpn, kAethAck, 0);
-  response.bth.opcode = ib::OpCode::kRcRdmaReadResponse;
-  a->qp.requester.on_read_response(response);
-  EXPECT_TRUE(a->qp.requester.window().empty());
-  a->qp.requester.on_read_response(response);  // a duplicate response
-  EXPECT_EQ(completed, std::vector<std::uint64_t>{0x1000});
-}
-
-TEST_F(RcStateMachines, ReadResponseNamingASendRetiresNothing) {
-  build();
-  bool read_completed = false;
-  a->ctx.on_read = [&](ib::Qpn, std::uint64_t, std::vector<std::uint8_t>,
-                       bool) { read_completed = true; };
-  a->post(2);  // SENDs at PSNs 0 and 1
-  a->wire.take();
-  // A response naming the outstanding SEND at PSN 1: not that SEND's ACK.
-  ib::Packet forged = control(a->qp.qpn, kAethAck, 1);
-  forged.bth.opcode = ib::OpCode::kRcRdmaReadResponse;
-  forged.meta.is_attack = true;
-  a->qp.requester.on_read_response(forged);
-  EXPECT_EQ(a->qp.requester.window().size(), 2u);
-  EXPECT_EQ(a->qp.requester.window().count(1), 1u);
-  EXPECT_FALSE(read_completed);
-  EXPECT_EQ(a->ctx.obs.spoofed_control_accepted, nullptr);  // nothing earned
-  // The SEND still retires on its real ACK.
-  control_to_a(control(a->qp.qpn, kAethAck, 1));
-  EXPECT_TRUE(a->qp.requester.window().empty());
-}
-
-TEST_F(RcStateMachines, ForgedReadResponseIsCountedAsASpoof) {
-  build();
-  std::vector<std::uint8_t> data;
-  a->ctx.on_read = [&](ib::Qpn, std::uint64_t, std::vector<std::uint8_t> d,
-                       bool) { data = std::move(d); };
-  ib::Packet read = a->request(ib::OpCode::kRcRdmaReadRequest);
-  a->qp.requester.expect_read(read.bth.psn, 0x2000);
-  a->qp.requester.submit(std::move(read));
-  a->wire.take();
-  ib::Packet forged = control(a->qp.qpn, kAethAck, 0);
-  forged.bth.opcode = ib::OpCode::kRcRdmaReadResponse;
-  forged.payload = {0xEE, 0xEE};
-  forged.meta.is_attack = true;
-  a->qp.requester.on_read_response(forged);
-  // The forger's data completed the read; the spoof is on the record.
-  EXPECT_EQ(data, (std::vector<std::uint8_t>{0xEE, 0xEE}));
-  EXPECT_TRUE(a->qp.requester.window().empty());
-  ASSERT_NE(a->ctx.obs.spoofed_control_accepted, nullptr);
-  EXPECT_EQ(a->ctx.obs.spoofed_control_accepted->value(), 1u);
-}
-
-TEST_F(RcStateMachines, DuplicateReadRequestIsReserved) {
-  build();
-  const ib::Packet read = a->request(ib::OpCode::kRcRdmaReadRequest);
-  EXPECT_EQ(deliver(read), Verdict::kDeliver);
-  EXPECT_EQ(deliver(read), Verdict::kReserveRead);
-  EXPECT_TRUE(b->wire.sent.empty());  // the response is the CA's to resend
-}
-
 // --- retry exhaustion ------------------------------------------------------------
 
 TEST_F(RcStateMachines, RetryExhaustionCallsTheErrorHandlerOnce) {
@@ -435,10 +355,7 @@ TEST_F(RcStateMachines, RetryExhaustionCallsTheErrorHandlerOnce) {
     EXPECT_EQ(oldest, 0u);
     ++errors;
   };
-  ib::Packet read = a->request(ib::OpCode::kRcRdmaReadRequest);
-  a->qp.requester.expect_read(read.bth.psn, 0x40);
-  a->qp.requester.submit(std::move(read));
-  a->post(1);
+  a->post(2);
   exchange([](std::vector<ib::Packet>) {  // nothing ever arrives
     return std::vector<ib::Packet>{};
   });
@@ -449,15 +366,6 @@ TEST_F(RcStateMachines, RetryExhaustionCallsTheErrorHandlerOnce) {
   EXPECT_EQ(a->ctx.obs.retry_exhausted->value(), 1u);
   // max_retries rounds of the two outstanding requests.
   EXPECT_EQ(a->ctx.obs.retransmits->value(), 2u * 3u);
-  // The outstanding read was dropped with the QP: a late response for it
-  // completes nothing.
-  int reads = 0;
-  a->ctx.on_read = [&](ib::Qpn, std::uint64_t, std::vector<std::uint8_t>,
-                       bool) { ++reads; };
-  ib::Packet late = control(a->qp.qpn, kAethAck, 0);
-  late.bth.opcode = ib::OpCode::kRcRdmaReadResponse;
-  a->qp.requester.on_read_response(late);
-  EXPECT_EQ(reads, 0);
 }
 
 TEST_F(RcStateMachines, FullWindowQueuesInPsnOrder) {

@@ -16,8 +16,8 @@
 //   std::to_string                           string temporaries
 //
 // Intentional amortized allocations (pool growth, lazy one-time metric
-// registration) are waived with IBSEC_DETLINT_ALLOW(hot-alloc) and a
-// justification; the unused-allow pass keeps those waivers honest.
+// registration) are waived with a hot-alloc waiver and a justification;
+// the unused-allow pass keeps those waivers honest.
 #pragma once
 
 #include <vector>

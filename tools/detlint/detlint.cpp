@@ -242,21 +242,6 @@ std::vector<Finding> scan_source(std::string_view path,
   return findings;
 }
 
-bool scan_path(const std::string& path, std::vector<Finding>& findings,
-               std::string& error) {
-  Project project;
-  bool ok = load_project({path}, project, findings, error);
-  for (FileModel& fm : project.files) {
-    std::vector<Finding> hits;
-    run_line_rules(fm, hits);
-    run_hotpath_pass(fm, hits);
-    for (Finding& f : hits) {
-      if (!fm.allows.waives(f.line, f.rule)) findings.push_back(std::move(f));
-    }
-  }
-  return ok;
-}
-
 bool analyze_project(const AnalyzerOptions& options,
                      std::vector<Finding>& findings, std::string& error) {
   Project project;

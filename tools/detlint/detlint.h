@@ -6,8 +6,8 @@
 // those end-to-end; detlint enforces them at the source level, before a
 // violation is ever built and run.
 //
-// Single-file line rules (the original linter, still available through
-// scan_source/scan_path):
+// Single-file line rules (analyze_project runs them on every file; the
+// tests also run them on one in-memory source through scan_source):
 //
 //   unordered-container      std::unordered_map / std::unordered_set (and
 //                            multi variants): hash iteration order is
@@ -59,12 +59,11 @@
 //   unused-allow             an IBSEC_DETLINT_ALLOW directive that waives
 //                            nothing anymore — waiver rot; delete it.
 //
-// Suppression grammar: a comment naming one or more rules (comma-separated)
-// on the same line as the finding, or on the line directly above, waives it:
-//
-//   // IBSEC_DETLINT_ALLOW(wall-clock)  benchmark harness, not sim state
-//   // IBSEC_DETLINT_ALLOW(raw-rand, wall-clock)
-//   // IBSEC_DETLINT_ALLOW(hot-alloc)  amortized pool growth
+// Suppression grammar: a comment holding the waiver marker with one or more
+// rule names (comma-separated, in parentheses) on the same line as the
+// finding, or on the line directly above, waives it; DESIGN.md ("detlint")
+// shows the spelling. A literal example here would be a waiver itself, and
+// the unused-allow pass would report it.
 //
 // Comments and string literals are lexed away before matching (raw strings
 // and backslash line continuations included), so prose mentioning
@@ -105,16 +104,12 @@ bool is_known_rule(std::string_view name);
 std::vector<Finding> scan_source(std::string_view path,
                                  std::string_view content);
 
-/// Scans a file, or every *.h/*.hpp/*.cpp/*.cc/*.cxx under a directory
-/// (recursively, in sorted path order — the linter is itself deterministic),
-/// with the single-file rules. Returns false when `path` does not exist or
-/// a file cannot be read; an explanation is appended to `error`.
-bool scan_path(const std::string& path, std::vector<Finding>& findings,
-               std::string& error);
-
 /// Options for the full multi-pass analysis.
 struct AnalyzerOptions {
-  std::vector<std::string> paths;  ///< files and/or directories to load
+  /// Files and/or directories to load; a directory contributes every
+  /// *.h/*.hpp/*.cpp/*.cc/*.cxx under it, recursively, in sorted path order
+  /// (the linter is itself deterministic).
+  std::vector<std::string> paths;
   std::string schema_path;  ///< docs/metrics_schema.md; empty skips the
                             ///< metric-schema and schema-unused passes
 };
